@@ -220,7 +220,9 @@ std::string runOpenLatencyBench() {
   auto T1 = std::chrono::steady_clock::now();
   double PagedMs = std::chrono::duration<double, std::milli>(T1 - T0).count();
   if (!St.openedPaged()) {
-    std::fprintf(stderr, "bench: paged open fell back to journal replay\n");
+    std::fprintf(stderr,
+                 "bench: paged open fell back to journal replay: %s\n",
+                 St.checkpointFallbackReason().c_str());
     std::abort();
   }
   if (St.liveEntries() != N)

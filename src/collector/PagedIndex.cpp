@@ -521,7 +521,7 @@ PagedIndexReader::open(const std::string &Path, const std::string &JournalPath,
                        std::string &Why) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F) {
-    Why = "no checkpoint";
+    Why = NoCheckpoint;
     return nullptr;
   }
   auto fail = [&](const std::string &W) {

@@ -129,11 +129,15 @@ class PagedIndexReader {
 public:
   ~PagedIndexReader();
 
+  /// open()'s reason when there is no checkpoint file at all — the one
+  /// failure that is not a rejected (degraded) checkpoint.
+  static constexpr const char *NoCheckpoint = "no checkpoint";
+
   /// Opens and fully validates \p Path (header hash, checksum-table
   /// hash, every data page's checksum — one streaming pass — and the
   /// journal-coverage hashes against \p JournalPath). Returns null with
   /// \p Why set when anything fails; the caller falls back to full
-  /// journal replay.
+  /// journal replay. \p Why is NoCheckpoint when \p Path does not exist.
   static std::unique_ptr<PagedIndexReader>
   open(const std::string &Path, const std::string &JournalPath,
        size_t CacheBytes, const PageCacheInstruments &PI, std::string &Why);

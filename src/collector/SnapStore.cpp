@@ -198,12 +198,16 @@ bool SnapStore::open(const std::string &Directory, const SnapStoreOptions &O,
   SM.Evictions = &R.counter("collector.store.evictions");
   SM.Queries = &R.counter("collector.store.queries");
   SM.PointReads = &R.counter("collector.store.point_reads");
+  SM.CheckpointFallbacks =
+      &R.counter("collector.store.degraded.checkpoint_fallback");
   SM.LiveEntriesG = &R.gauge("collector.store.live_entries");
   SM.LiveBytesG = &R.gauge("collector.store.live_bytes");
 
   // Try the TBIX v2 checkpoint first. Any validation failure returns
   // null and we fall back to replaying the whole journal — the journal
-  // is the complete history, so the fallback is always correct.
+  // is the complete history, so the fallback is always correct. A
+  // missing file is not a fallback; a rejected one is counted.
+  CkFallback.clear();
   if (Opt.Paged) {
     PageCacheInstruments PCI;
     PCI.Hits = &R.counter("collector.store.page.hits");
@@ -218,6 +222,9 @@ bool SnapStore::open(const std::string &Directory, const SnapStoreOptions &O,
       LiveCount = static_cast<size_t>(Ck->liveCount());
       LiveBytes = Ck->liveBytes();
       CkRefsLive = Ck->liveRefs();
+    } else if (Why != PagedIndexReader::NoCheckpoint) {
+      CkFallback = Why;
+      SM.CheckpointFallbacks->add();
     }
   }
 

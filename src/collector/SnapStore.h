@@ -183,6 +183,11 @@ public:
   /// True when this open used a valid TBIX v2 checkpoint (index entries
   /// are paged from disk on demand).
   bool openedPaged() const { return Ck != nullptr; }
+  /// Why the last paged open() rejected an existing checkpoint and
+  /// replayed the whole journal instead; "" when it used the checkpoint
+  /// or there was none. Each such fallback also counts in
+  /// `collector.store.degraded.checkpoint_fallback`.
+  const std::string &checkpointFallbackReason() const { return CkFallback; }
   /// Writes a fresh checkpoint (writable, dirty stores), flushes and
   /// closes; the store can be reopened.
   void close();
@@ -400,6 +405,7 @@ private:
   // Paged-mode state: the validated checkpoint reader plus the deltas
   // the journal tail applied on top of it.
   std::unique_ptr<PagedIndexReader> Ck;
+  std::string CkFallback;
   std::set<uint64_t> DeadCk;                ///< Ck entries evicted post-ck.
   std::map<uint64_t, uint64_t> RefDeltaCk;  ///< Post-ck refcount bumps.
   uint64_t CkRefsLive = 0; ///< Live refs held by checkpoint entries.
@@ -424,6 +430,7 @@ private:
     Counter *Evictions = nullptr;
     Counter *Queries = nullptr;
     Counter *PointReads = nullptr;
+    Counter *CheckpointFallbacks = nullptr;
     Gauge *LiveEntriesG = nullptr;
     Gauge *LiveBytesG = nullptr;
   };

@@ -425,9 +425,9 @@ const SnapFile *ReplayDriver::matchSnap(const SnapFile &Orig) const {
 // DivergenceDetector
 //===----------------------------------------------------------------------===//
 
-/// Full-field single-line rendering of one trace event. Two events render
-/// identically iff every field meaningful to their kind is identical —
-/// the detector and renderCanonical both compare through this.
+/// Full-field single-line rendering of one trace event: the body of a
+/// renderCanonical line and of a divergence report. Comparison never goes
+/// through it — see sameTraceEvent.
 static std::string renderTraceEvent(const TraceEvent &E) {
   switch (E.EventKind) {
   case TraceEvent::Kind::Line:
@@ -462,6 +462,45 @@ static std::string renderTraceEvent(const TraceEvent &E) {
   return "?";
 }
 
+/// True iff \p A and \p B agree on exactly the fields renderTraceEvent
+/// prints for their kind, and on nothing else: equivalent to comparing
+/// the two renderings, without building them. Interned names compare by
+/// pointer, which is exact (one pool copy per distinct value).
+static bool sameTraceEvent(const TraceEvent &A, const TraceEvent &B) {
+  if (A.EventKind != B.EventKind || A.Timestamp != B.Timestamp)
+    return false;
+  switch (A.EventKind) {
+  case TraceEvent::Kind::Line:
+    return A.Module == B.Module && A.File == B.File && A.Line == B.Line &&
+           A.Function == B.Function && A.Repeat == B.Repeat &&
+           A.Depth == B.Depth && A.BlockFlags == B.BlockFlags &&
+           A.Trimmed == B.Trimmed;
+  case TraceEvent::Kind::Exception:
+    return A.FaultCodeValue == B.FaultCodeValue &&
+           A.FaultModuleKey == B.FaultModuleKey &&
+           A.FaultOffset == B.FaultOffset && A.Depth == B.Depth;
+  case TraceEvent::Kind::ExceptionEnd:
+    return A.Depth == B.Depth;
+  case TraceEvent::Kind::Sync:
+    return A.Sync == B.Sync && A.LogicalThreadId == B.LogicalThreadId &&
+           A.Sequence == B.Sequence && A.PeerRuntimeId == B.PeerRuntimeId;
+  case TraceEvent::Kind::ThreadStart:
+  case TraceEvent::Kind::ThreadEnd:
+    return true;
+  case TraceEvent::Kind::Untraced:
+    return A.Repeat == B.Repeat && A.Depth == B.Depth;
+  }
+  return true; // Both render as "?".
+}
+
+/// The thread-header fields renderCanonical prints.
+static bool sameThreadHeader(const ThreadTrace &A, const ThreadTrace &B) {
+  return A.ThreadId == B.ThreadId && A.RuntimeId == B.RuntimeId &&
+         A.ProcessName == B.ProcessName && A.MachineName == B.MachineName &&
+         A.Tech == B.Tech && A.Truncated == B.Truncated &&
+         A.TruncatedAt == B.TruncatedAt;
+}
+
 static void pushTraceDivergence(std::vector<Divergence> &Out, uint64_t Index,
                                 std::string Detail) {
   if (Out.size() >= MaxDivergences)
@@ -488,8 +527,7 @@ size_t DivergenceDetector::compare(const ReconstructedTrace &Original,
     }
     size_t N = std::min(OT.Events.size(), RT->Events.size());
     size_t I = 0;
-    while (I < N &&
-           renderTraceEvent(OT.Events[I]) == renderTraceEvent(RT->Events[I]))
+    while (I < N && sameTraceEvent(OT.Events[I], RT->Events[I]))
       ++I;
     if (I < N) {
       // The FIRST divergent event of this thread, with the last agreeing
@@ -527,6 +565,20 @@ size_t DivergenceDetector::compare(const ReconstructedTrace &Original,
                           formatv("replayed trace has extra thread %llu",
                                   (unsigned long long)RT.ThreadId));
   return Out.size() - Before;
+}
+
+bool DivergenceDetector::identical(const ReconstructedTrace &A,
+                                   const ReconstructedTrace &B) {
+  if (A.Threads.size() != B.Threads.size() || A.Warnings != B.Warnings)
+    return false;
+  for (size_t T = 0; T < A.Threads.size(); ++T) {
+    const ThreadTrace &TA = A.Threads[T], &TB = B.Threads[T];
+    if (!sameThreadHeader(TA, TB) || TA.Events.size() != TB.Events.size() ||
+        !std::equal(TA.Events.begin(), TA.Events.end(), TB.Events.begin(),
+                    sameTraceEvent))
+      return false;
+  }
+  return true;
 }
 
 std::string DivergenceDetector::renderCanonical(const ReconstructedTrace &T) {
@@ -607,9 +659,8 @@ ReplayVerdict traceback::verifyReplay(const SnapFile &Orig,
     ReconstructedTrace TR = Drv.deployment().reconstruct(*R);
     std::vector<Divergence> TraceDivs;
     DivergenceDetector::compare(TO, TR, TraceDivs);
-    V.TraceIdentical = TraceDivs.empty() &&
-                       DivergenceDetector::renderCanonical(TO) ==
-                           DivergenceDetector::renderCanonical(TR);
+    V.TraceIdentical =
+        TraceDivs.empty() && DivergenceDetector::identical(TO, TR);
     V.Divergences.insert(V.Divergences.end(), TraceDivs.begin(),
                          TraceDivs.end());
   }

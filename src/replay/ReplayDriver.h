@@ -150,9 +150,18 @@ public:
                         const ReconstructedTrace &Replayed,
                         std::vector<Divergence> &Out);
 
+  /// True iff renderCanonical(A) == renderCanonical(B), decided field by
+  /// field without rendering: threads in vector order (the header fields
+  /// renderCanonical prints, then every event), then the warnings.
+  /// verifyReplay's trace-equality check. Stricter than the strings only
+  /// where a name contains a rendering separator (space, newline, '!',
+  /// NUL) so that two different traces happen to render alike.
+  static bool identical(const ReconstructedTrace &A,
+                        const ReconstructedTrace &B);
+
   /// Canonical full-field rendering of a trace — byte-identical iff the
-  /// traces are. The golden fixtures and the sweep's byte-equality
-  /// assertion both go through this.
+  /// traces are. The format for golden fixtures, tests and tools; replay
+  /// verification compares through identical() instead.
   static std::string renderCanonical(const ReconstructedTrace &Trace);
 };
 
@@ -170,9 +179,9 @@ struct ReplayVerdict {
 };
 
 /// Replays \p Log and verifies against \p Orig end-to-end: re-execute,
-/// match the anchor snap, reconstruct both, compare. \p Maps must be able
-/// to resolve the original snap (the replayed deployment re-registers
-/// identical mapfiles by construction).
+/// match the anchor snap, reconstruct both with the replayed deployment
+/// (it re-registers the recorded mapfiles by construction, so it resolves
+/// \p Orig too), compare. \p ToEvent is the `--to` limit (0 = whole log).
 ReplayVerdict verifyReplay(const SnapFile &Orig, const ExecutionLog &Log,
                            uint64_t ToEvent = 0);
 

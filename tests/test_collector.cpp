@@ -706,13 +706,23 @@ fn main() export {
 
 TEST(PagedStoreTest, CorruptCheckpointFallsBackToJournalReplay) {
   std::string Dir = tempStoreDir("paged-corrupt");
+  // Every rejected checkpoint is counted, with its reason; a store that
+  // simply has no checkpoint yet is not degraded.
+  MetricsRegistry Reg;
+  Counter &Fallbacks =
+      Reg.counter("collector.store.degraded.checkpoint_fallback");
   SnapStoreOptions O;
+  O.Metrics = &Reg;
   std::string Err;
   {
     SnapStore St;
     ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
+    EXPECT_FALSE(St.openedPaged());
+    EXPECT_EQ(St.checkpointFallbackReason(), "");
     feedPagedStream(St, 60);
   }
+  EXPECT_EQ(Fallbacks.value(), 0u) << "a missing checkpoint is no fallback";
+  uint64_t ExpectedFallbacks = 0;
   std::string CkPath = (fs::path(Dir) / "index.tbx2").string();
   std::string JnPath = (fs::path(Dir) / "index.tbx").string();
   std::vector<uint8_t> PristineCk, PristineJn;
@@ -738,6 +748,8 @@ TEST(PagedStoreTest, CorruptCheckpointFallsBackToJournalReplay) {
     SnapStore St;
     ASSERT_TRUE(St.open(Dir, RO, Err)) << Err;
     EXPECT_FALSE(St.openedPaged());
+    EXPECT_EQ(Fallbacks.value(), ++ExpectedFallbacks);
+    EXPECT_NE(St.checkpointFallbackReason(), "");
     size_t Case = 0;
     for (const SnapQuery &Q : pagedQueryMix()) {
       SCOPED_TRACE(::testing::Message() << "query " << Case);
@@ -780,16 +792,21 @@ TEST(PagedStoreTest, CorruptCheckpointFallsBackToJournalReplay) {
     SnapStore St;
     ASSERT_TRUE(St.open(Dir, RO, Err)) << Err;
     EXPECT_FALSE(St.openedPaged());
+    EXPECT_EQ(Fallbacks.value(), ++ExpectedFallbacks);
+    EXPECT_EQ(St.checkpointFallbackReason(),
+              "journal shorter than checkpoint coverage");
     for (const SnapQuery &Q : pagedQueryMix())
       EXPECT_EQ(cursorIds(St.query(Q)), cursorIds(St.scan(Q)));
     ASSERT_TRUE(writeFileBytes(JnPath, PristineJn));
   }
 
-  // Pristine bytes restored: the paged path works again.
+  // Pristine bytes restored: the paged path works again, uncounted.
   ASSERT_TRUE(writeFileBytes(CkPath, PristineCk));
   SnapStore St;
   ASSERT_TRUE(St.open(Dir, RO, Err)) << Err;
   EXPECT_TRUE(St.openedPaged());
+  EXPECT_EQ(St.checkpointFallbackReason(), "");
+  EXPECT_EQ(Fallbacks.value(), ExpectedFallbacks);
   expectPagedQueriesConsistent(St, nullptr, "restored");
 }
 

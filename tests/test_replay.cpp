@@ -457,6 +457,192 @@ TEST(ReplayDivergenceTest, PerturbedTraceWordReportsFirstEventOnly) {
 }
 
 //===----------------------------------------------------------------------===//
+// Field comparison ≡ canonical rendering comparison.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One single-field edit of a trace event.
+struct EventEdit {
+  const char *Field;
+  void (*Apply)(TraceEvent &);
+};
+
+/// Changes every TraceEvent field, one at a time, printed by its kind or
+/// not. The last edit re-interns a name from an equal std::string, which
+/// must compare equal: the pool holds one copy per value.
+const EventEdit EventEdits[] = {
+    {"EventKind",
+     [](TraceEvent &E) {
+       E.EventKind = static_cast<TraceEvent::Kind>(
+           (static_cast<unsigned>(E.EventKind) + 1) %
+           (static_cast<unsigned>(TraceEvent::Kind::Untraced) + 1));
+     }},
+    {"Module", [](TraceEvent &E) { E.Module = "other-module"; }},
+    {"File", [](TraceEvent &E) { E.File = "other-file.ml"; }},
+    {"Function", [](TraceEvent &E) { E.Function = "other_fn"; }},
+    {"Line", [](TraceEvent &E) { E.Line += 1; }},
+    {"Repeat", [](TraceEvent &E) { E.Repeat += 1; }},
+    {"BlockFlags", [](TraceEvent &E) { E.BlockFlags ^= 0x4; }},
+    {"Depth", [](TraceEvent &E) { E.Depth += 1; }},
+    {"Trimmed", [](TraceEvent &E) { E.Trimmed = !E.Trimmed; }},
+    {"FaultCodeValue", [](TraceEvent &E) { E.FaultCodeValue += 1; }},
+    {"FaultModuleKey", [](TraceEvent &E) { E.FaultModuleKey ^= 1; }},
+    {"FaultOffset", [](TraceEvent &E) { E.FaultOffset += 1; }},
+    {"Sync",
+     [](TraceEvent &E) {
+       E.Sync = static_cast<SyncKind>((static_cast<unsigned>(E.Sync) + 1) % 4);
+     }},
+    {"LogicalThreadId", [](TraceEvent &E) { E.LogicalThreadId += 1; }},
+    {"Sequence", [](TraceEvent &E) { E.Sequence += 1; }},
+    {"PeerRuntimeId", [](TraceEvent &E) { E.PeerRuntimeId += 1; }},
+    {"Timestamp", [](TraceEvent &E) { E.Timestamp += 1; }},
+    {"Module re-interned",
+     [](TraceEvent &E) { E.Module = InternedString(std::string(E.Module)); }},
+};
+
+/// One single-field edit of a whole trace (thread header or warnings).
+struct TraceEdit {
+  const char *Field;
+  void (*Apply)(ReconstructedTrace &);
+};
+
+const TraceEdit TraceEdits[] = {
+    {"ThreadId", [](ReconstructedTrace &T) { T.Threads[0].ThreadId += 100; }},
+    {"RuntimeId", [](ReconstructedTrace &T) { T.Threads[0].RuntimeId += 1; }},
+    {"ProcessName",
+     [](ReconstructedTrace &T) { T.Threads[0].ProcessName += "x"; }},
+    {"MachineName",
+     [](ReconstructedTrace &T) { T.Threads[0].MachineName += "x"; }},
+    {"Tech",
+     [](ReconstructedTrace &T) {
+       T.Threads[0].Tech = T.Threads[0].Tech == Technology::Native
+                               ? Technology::Managed
+                               : Technology::Native;
+     }},
+    {"Truncated",
+     [](ReconstructedTrace &T) {
+       T.Threads[0].Truncated = !T.Threads[0].Truncated;
+     }},
+    {"TruncatedAt (intact -> cut)",
+     [](ReconstructedTrace &T) { T.Threads[0].TruncatedAt = 17; }},
+    {"TruncatedAt (cut -> other cut)",
+     [](ReconstructedTrace &T) { T.Threads[1].TruncatedAt += 1; }},
+    {"extra warning",
+     [](ReconstructedTrace &T) { T.Warnings.push_back("one more warning"); }},
+    {"warning text", [](ReconstructedTrace &T) { T.Warnings[0] += "!"; }},
+    {"TelemetryJson (never rendered)",
+     [](ReconstructedTrace &T) { T.TelemetryJson += " "; }},
+};
+
+} // namespace
+
+TEST(ReplayDivergenceTest, FieldComparisonMatchesCanonicalRendering) {
+  // A real reconstructed trace, extended with one event of every kind
+  // (every field set to a non-default value, printed or not) and a
+  // second, cut thread, so that each edit below lands on a live field.
+  RecordedProcess S;
+  ASSERT_EQ(S.runModule(compileOrDie(RandBranchSnapWorkload), true),
+            World::RunResult::AllExited);
+  ASSERT_FALSE(S.D.snaps().empty());
+  ReconstructedTrace Base = S.D.reconstruct(S.D.snaps().front());
+  ASSERT_FALSE(Base.Threads.empty());
+  size_t RealLine = 0;
+  std::vector<size_t> Targets;
+  {
+    std::vector<TraceEvent> &Events = Base.Threads[0].Events;
+    ASSERT_GT(Events.size(), 20u);
+    RealLine = Events.size() / 2;
+    ASSERT_EQ(Events[RealLine].EventKind, TraceEvent::Kind::Line);
+
+    TraceEvent Template = Events[RealLine];
+    Template.Repeat = 2;
+    Template.BlockFlags = 1;
+    Template.Depth = 3;
+    Template.Trimmed = true;
+    Template.FaultCodeValue = 11;
+    Template.FaultModuleKey = 0xabcdef;
+    Template.FaultOffset = 40;
+    Template.Sync = SyncKind::CallRecv;
+    Template.LogicalThreadId = 9;
+    Template.Sequence = 4;
+    Template.PeerRuntimeId = 2;
+    Template.Timestamp += 1000;
+    Targets.push_back(RealLine);
+    for (unsigned K = 0; K <= static_cast<unsigned>(TraceEvent::Kind::Untraced);
+         ++K) {
+      TraceEvent E = Template;
+      E.EventKind = static_cast<TraceEvent::Kind>(K);
+      Targets.push_back(Events.size());
+      Events.push_back(E);
+    }
+  }
+  ThreadTrace Cut = Base.Threads[0];
+  Cut.ThreadId += 1;
+  Cut.TruncatedAt = 123;
+  Base.Threads.push_back(Cut);
+  Base.Warnings.push_back("base warning");
+  const std::string BaseText = DivergenceDetector::renderCanonical(Base);
+
+  // The oracle is the rendering: the field comparison (compare's event
+  // loop, identical(), and verifyReplay's conjunction of the two) must
+  // agree with it on every variant.
+  auto Check = [&](const ReconstructedTrace &V, const std::string &What,
+                   size_t EditedEvent) {
+    SCOPED_TRACE(What);
+    bool RenderEqual = DivergenceDetector::renderCanonical(V) == BaseText;
+    std::vector<Divergence> Divs;
+    size_t N = DivergenceDetector::compare(Base, V, Divs);
+    bool Identical = DivergenceDetector::identical(Base, V);
+    EXPECT_EQ(N == 0 && Identical, RenderEqual);
+    EXPECT_EQ(Identical, RenderEqual);
+    if (EditedEvent != SIZE_MAX) {
+      // An event edit: the detector alone decides, and pinpoints it.
+      EXPECT_EQ(N == 0, RenderEqual);
+      if (N > 0) {
+        EXPECT_EQ(Divs[0].EventIndex, EditedEvent);
+      }
+    }
+    return RenderEqual;
+  };
+
+  for (size_t At : Targets) {
+    const TraceEvent &Orig = Base.Threads[0].Events[At];
+    unsigned Equal = 0, Differ = 0;
+    for (const EventEdit &Edit : EventEdits) {
+      ReconstructedTrace V = Base;
+      Edit.Apply(V.Threads[0].Events[At]);
+      bool Same = Check(V,
+                        "kind " + std::to_string((unsigned)Orig.EventKind) +
+                            " event " + std::to_string(At) + " field " +
+                            Edit.Field,
+                        At);
+      (Same ? Equal : Differ) += 1;
+    }
+    // Each kind prints some fields (kind + timestamp at least) and
+    // ignores others: both outcomes must have been exercised.
+    EXPECT_GE(Differ, 2u) << "kind " << (unsigned)Orig.EventKind;
+    EXPECT_GE(Equal, 1u) << "kind " << (unsigned)Orig.EventKind;
+  }
+
+  // A field a kind does not print never makes two traces differ.
+  {
+    ReconstructedTrace V = Base;
+    V.Threads[0].Events[RealLine].FaultCodeValue += 1;
+    EXPECT_TRUE(Check(V, "FaultCodeValue on a Line event", RealLine));
+  }
+
+  for (const TraceEdit &Edit : TraceEdits) {
+    ReconstructedTrace V = Base;
+    Edit.Apply(V);
+    bool Same = Check(V, Edit.Field, SIZE_MAX);
+    EXPECT_EQ(Same, std::string(Edit.Field).find("never rendered") !=
+                        std::string::npos)
+        << Edit.Field;
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Golden rendering of a divergence report.
 //===----------------------------------------------------------------------===//
 
