@@ -256,6 +256,37 @@ std::string runOpenLatencyBench() {
   uint64_t Evictions = Reg.counter("collector.store.page.evictions").value();
   double Speedup = PagedMs > 0 ? UnpagedMs / PagedMs : 0;
   St.close();
+
+  // 4. Re-checkpoint after a 1% tail: a writable paged open and N/100
+  //    fresh appends (untimed), then the timed close(), which carries the
+  //    checkpoint forward and encodes only the tail. Reported, not gated.
+  const uint64_t TailN = N / 100;
+  double MergeMs = 0;
+  {
+    MetricsRegistry MReg;
+    SnapStore W;
+    openStore(W, /*Paged=*/true, /*ReadOnly=*/false, MReg);
+    if (!W.openedPaged())
+      std::abort();
+    uint64_t Rng = 0x7a11c0ffee123457ull, Mid = 0;
+    std::string Machine, Err;
+    for (uint64_t I = 0; I < TailN; ++I) {
+      SnapStore::AppendResult R;
+      if (!W.append(makeImage(Rng, N + I, Machine, Mid), Mid, R, &Err)) {
+        std::fprintf(stderr, "bench: tail append failed: %s\n", Err.c_str());
+        std::abort();
+      }
+    }
+    auto M0 = std::chrono::steady_clock::now();
+    W.close();
+    auto M1 = std::chrono::steady_clock::now();
+    MergeMs = std::chrono::duration<double, std::milli>(M1 - M0).count();
+    if (!W.checkpointWriteFailureReason().empty()) {
+      std::fprintf(stderr, "bench: checkpoint merge failed: %s\n",
+                   W.checkpointWriteFailureReason().c_str());
+      std::abort();
+    }
+  }
   fs::remove_all(Dir, EC);
 
   std::printf("Open latency at depth (%llu index entries)\n",
@@ -265,6 +296,8 @@ std::string runOpenLatencyBench() {
   std::printf("open: v2 paged          %10.1f ms   (%.1fx faster; "
               "checkpoint build %.1f ms)\n",
               PagedMs, Speedup, CheckpointMs);
+  std::printf("checkpoint merge        %10.1f ms   (%llu-entry tail)\n",
+              MergeMs, static_cast<unsigned long long>(TailN));
   std::printf("paged queries           %10.1f ms   (%llu rows, %llu hit / "
               "%llu miss / %llu evict)\n",
               QueryMs, static_cast<unsigned long long>(Rows),
@@ -282,6 +315,9 @@ std::string runOpenLatencyBench() {
   J += formatv("  \"open_paged_ms\": %.3f,\n", PagedMs);
   J += formatv("  \"open_speedup\": %.2f,\n", Speedup);
   J += formatv("  \"checkpoint_build_ms\": %.3f,\n", CheckpointMs);
+  J += formatv("  \"checkpoint_merge_ms\": %.3f,\n", MergeMs);
+  J += formatv("  \"checkpoint_merge_tail_entries\": %llu,\n",
+               static_cast<unsigned long long>(TailN));
   J += formatv("  \"paged_query_ms\": %.3f,\n", QueryMs);
   J += formatv("  \"page_hits\": %llu,\n",
                static_cast<unsigned long long>(Hits));

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <tuple>
 
 using namespace traceback;
 
@@ -178,6 +179,11 @@ bool deserializeHeader(const uint8_t *P, size_t Len, HeaderFields &H,
   return true;
 }
 
+/// Where serializeEntry puts the two fields the tail can change in a
+/// checkpoint entry, and the length of the fixed-width prefix holding
+/// them; the carry-forward writer patches them in place.
+constexpr size_t RecRefCountOff = 70, RecDeadOff = 78, RecFixedBytes = 79;
+
 /// Serializes one entry record into \p B (appended).
 void serializeEntry(const SnapStoreEntry &E, std::vector<uint8_t> &B) {
   putU64(B, E.Id);
@@ -272,27 +278,41 @@ bool deserializeEntry(const uint8_t *P, size_t Len, SnapStoreEntry &E) {
 }
 
 /// Streams bytes to a file while hashing each TbixPageSize-aligned page
-/// as it completes. Page 0 (the header) is written as zeros first and
-/// patched at the end; its hash lives inside the header itself, not in
-/// the table.
+/// as it completes; finished pages go out in batches. Page 0 (the
+/// header) is written as zeros first and patched at the end; its hash
+/// lives inside the header itself, not in the table.
 class PageStreamWriter {
 public:
-  explicit PageStreamWriter(std::FILE *F) : F(F) {}
+  explicit PageStreamWriter(std::FILE *F)
+      : F(F), Buf(BatchPages * TbixPageSize) {}
 
   bool write(const void *Data, size_t Len) {
     const uint8_t *P = static_cast<const uint8_t *>(Data);
     while (Len) {
       size_t Room = TbixPageSize - Fill;
       size_t N = Len < Room ? Len : Room;
-      std::memcpy(Buf + Fill, P, N);
+      std::memcpy(Buf.data() + Batched * TbixPageSize + Fill, P, N);
       Fill += N;
       P += N;
       Len -= N;
       Written += N;
-      if (Fill == TbixPageSize && !flushPage())
+      if (Fill == TbixPageSize && !endPage())
         return false;
     }
     return true;
+  }
+
+  /// Writes \p N whole pages whose checksums are already known — pages
+  /// copied verbatim from a verified checkpoint — without copying or
+  /// hashing them again. Requires pageFill() == 0.
+  bool writePages(const uint8_t *P, uint64_t N, const uint64_t *PageSums) {
+    if (!flush())
+      return false;
+    Sums.insert(Sums.end(), PageSums, PageSums + N);
+    PageIdx += N;
+    size_t Bytes = static_cast<size_t>(N * TbixPageSize);
+    Written += Bytes;
+    return std::fwrite(P, 1, Bytes, F) == Bytes;
   }
 
   /// Pads the current page with zeros up to the page boundary.
@@ -310,26 +330,221 @@ public:
     return true;
   }
 
+  /// Writes out the finished pages still batched.
+  bool flush() {
+    size_t Bytes = Batched * TbixPageSize;
+    Batched = 0;
+    return Bytes == 0 || std::fwrite(Buf.data(), 1, Bytes, F) == Bytes;
+  }
+
   uint64_t offset() const { return Written; }
+  /// Bytes already in the current (unfinished) page.
+  size_t pageFill() const { return Fill; }
   const std::vector<uint64_t> &pageSums() const { return Sums; }
 
 private:
-  bool flushPage() {
+  static constexpr size_t BatchPages = 64;
+
+  bool endPage() {
     // Page 0 is the header placeholder — not in the table.
     if (PageIdx > 0)
-      Sums.push_back(pageSum64(Buf));
+      Sums.push_back(pageSum64(Buf.data() + Batched * TbixPageSize));
     ++PageIdx;
     Fill = 0;
-    return std::fwrite(Buf, 1, TbixPageSize, F) == TbixPageSize;
+    return ++Batched < BatchPages || flush();
   }
 
   std::FILE *F;
-  uint8_t Buf[TbixPageSize];
+  std::vector<uint8_t> Buf; ///< Batched finished pages, then the open one.
+  size_t Batched = 0;
   size_t Fill = 0;
   uint64_t PageIdx = 0;
   uint64_t Written = 0;
   std::vector<uint64_t> Sums;
 };
+
+/// Sequential reader over an existing checkpoint: the carry-forward
+/// writer's only view of it. It reads through a handle of its own,
+/// never through the query page cache, and checks each data page
+/// against the page-sum table as the page enters its buffer, so no byte
+/// reaches the writer unverified.
+class CheckpointSource {
+public:
+  ~CheckpointSource() {
+    if (F)
+      std::fclose(F);
+  }
+
+  /// Opens \p Path and loads its page-sum table (\p TableOff, \p TableLen),
+  /// checked against the header's \p TableHash.
+  bool open(const std::string &Path, uint64_t TableOff, uint64_t TableLen,
+            uint64_t TableHash) {
+    F = std::fopen(Path.c_str(), "rb");
+    if (!F)
+      return fail("cannot reopen " + Path);
+    if (TableOff % TbixPageSize != 0 || TableOff == 0 ||
+        TableLen != (TableOff / TbixPageSize - 1) * 8)
+      return fail("page-sum table length mismatch");
+    Sums.resize(static_cast<size_t>(TableLen / 8));
+    if (std::fseek(F, static_cast<long>(TableOff), SEEK_SET) != 0 ||
+        std::fread(Sums.data(), 8, Sums.size(), F) != Sums.size())
+      return fail("cannot read page-sum table");
+    if (fnv1a64(Sums.data(), Sums.size() * 8) != TableHash)
+      return fail("page-sum table hash mismatch");
+    Buf.resize(ChunkPages * TbixPageSize);
+    return true;
+  }
+
+  /// Moves the read position to file offset \p Off.
+  void seek(uint64_t Off) { Pos = Off; }
+
+  bool read(void *Out, size_t Len) {
+    uint8_t *Dst = static_cast<uint8_t *>(Out);
+    while (Len) {
+      if (!buffered())
+        return false;
+      size_t N = static_cast<size_t>(
+          std::min<uint64_t>(BufOff + BufLen - Pos, Len));
+      std::memcpy(Dst, Buf.data() + (Pos - BufOff), N);
+      Dst += N;
+      Pos += N;
+      Len -= N;
+    }
+    return true;
+  }
+
+  /// Copies \p Len bytes to \p W. A whole page that starts a page in both
+  /// files is byte-identical to a verified old page, so it goes out
+  /// without a copy and keeps its old checksum.
+  bool copyTo(PageStreamWriter &W, uint64_t Len) {
+    while (Len) {
+      if (!buffered())
+        return false;
+      const uint8_t *P = Buf.data() + (Pos - BufOff);
+      uint64_t N = std::min<uint64_t>(BufOff + BufLen - Pos, Len);
+      bool Ok;
+      if (W.pageFill() == 0 && Pos % TbixPageSize == 0 &&
+          N >= TbixPageSize) {
+        N -= N % TbixPageSize;
+        Ok = W.writePages(P, N / TbixPageSize,
+                          &Sums[Pos / TbixPageSize - 1]);
+      } else {
+        // Up to W's next page start, where the fast path may resume.
+        N = std::min<uint64_t>(N, TbixPageSize - W.pageFill());
+        Ok = W.write(P, static_cast<size_t>(N));
+      }
+      if (!Ok)
+        return false;
+      Pos += N;
+      Len -= N;
+    }
+    return true;
+  }
+
+  /// Calls \p Fn(rows, count) over the \p Rows fixed-size rows starting at
+  /// \p Off, a batch at a time. Stops (false) when \p Fn does.
+  template <typename BatchFn>
+  bool forEachBatch(uint64_t Off, uint64_t Rows, size_t RowBytes,
+                    BatchFn &&Fn) {
+    std::vector<uint8_t> Batch(1024 * RowBytes);
+    seek(Off);
+    while (Rows) {
+      uint64_t N = std::min<uint64_t>(Rows, 1024);
+      if (!read(Batch.data(), static_cast<size_t>(N * RowBytes)) ||
+          !Fn(Batch.data(), N))
+        return false;
+      Rows -= N;
+    }
+    return true;
+  }
+
+  /// Why the last read failed ("" when the fault was the sink's).
+  const std::string &error() const { return Why; }
+
+private:
+  static constexpr uint64_t ChunkPages = 64;
+
+  bool fail(const std::string &W) {
+    Why = W;
+    return false;
+  }
+
+  /// Makes the buffer hold Pos, loading and verifying the chunk of pages
+  /// around it when it does not.
+  bool buffered() {
+    if (Pos >= BufOff && Pos < BufOff + BufLen)
+      return true;
+    uint64_t Page = Pos / TbixPageSize;
+    if (Page == 0 || Page > Sums.size())
+      return fail("read outside the data pages");
+    uint64_t N = std::min<uint64_t>(Sums.size() + 1 - Page, ChunkPages);
+    if (FilePos != Page * TbixPageSize &&
+        std::fseek(F, static_cast<long>(Page * TbixPageSize), SEEK_SET) != 0)
+      return fail("seek failed");
+    size_t Want = static_cast<size_t>(N * TbixPageSize);
+    BufLen = 0; // Valid only once every page in it has verified.
+    if (std::fread(Buf.data(), 1, Want, F) != Want)
+      return fail("cannot read data pages");
+    FilePos = (Page + N) * TbixPageSize;
+    for (uint64_t I = 0; I < N; ++I)
+      if (pageSum64(Buf.data() + I * TbixPageSize) != Sums[Page + I - 1])
+        return fail("page " + std::to_string(Page + I) + " checksum mismatch");
+    BufOff = Page * TbixPageSize;
+    BufLen = Want;
+    return true;
+  }
+
+  std::FILE *F = nullptr;
+  std::vector<uint64_t> Sums; ///< Sums[P - 1] checks data page P.
+  std::vector<uint8_t> Buf;
+  uint64_t BufOff = 0, BufLen = 0;
+  uint64_t Pos = 0;     ///< Next byte the caller reads.
+  uint64_t FilePos = 0; ///< Where the handle stands.
+  std::string Why;
+};
+
+/// Writes the rows of an old sorted table (\p Rows rows at \p Off, read
+/// through \p Src) merged with the sorted \p Tail rows, dropping each old
+/// row \p Drop names. Runs of old rows between tail rows go out in one
+/// piece. A row's bytes are its RowT's.
+template <typename RowT, typename LessFn, typename DropFn>
+bool mergeTable(CheckpointSource &Src, PageStreamWriter &W, uint64_t Off,
+                uint64_t Rows, const std::vector<RowT> &Tail, LessFn Less,
+                DropFn Drop) {
+  size_t TI = 0;
+  auto putTail = [&](const RowT &R) {
+    while (TI < Tail.size() && Less(Tail[TI], R))
+      if (!W.write(&Tail[TI++], sizeof(RowT)))
+        return false;
+    return true;
+  };
+  bool Ok = Src.forEachBatch(
+      Off, Rows, sizeof(RowT), [&](const uint8_t *P, uint64_t N) {
+        uint64_t Run = 0; // First old row not yet written.
+        auto putRun = [&](uint64_t End) {
+          bool Wrote = End == Run || W.write(P + Run * sizeof(RowT),
+                                             (End - Run) * sizeof(RowT));
+          Run = End;
+          return Wrote;
+        };
+        for (uint64_t I = 0; I < N; ++I) {
+          RowT R;
+          std::memcpy(&R, P + I * sizeof(RowT), sizeof(RowT));
+          if (TI < Tail.size() && Less(Tail[TI], R) &&
+              !(putRun(I) && putTail(R)))
+            return false;
+          if (Drop(R)) {
+            if (!putRun(I))
+              return false;
+            Run = I + 1;
+          }
+        }
+        return putRun(N);
+      });
+  for (; Ok && TI < Tail.size(); ++TI)
+    Ok = W.write(&Tail[TI], sizeof(RowT));
+  return Ok;
+}
 
 } // namespace
 
@@ -337,10 +552,40 @@ private:
 // Writer
 //===----------------------------------------------------------------------===//
 
-bool traceback::writePagedIndex(
-    const std::string &Path, const PagedIndexHeaderInfo &HI,
-    const std::function<bool(SnapStoreEntry &)> &NextEntry,
-    std::string &Error) {
+bool traceback::writePagedIndex(const std::string &Path,
+                                const PagedIndexHeaderInfo &HI,
+                                const PagedIndexReader *Old,
+                                const std::set<uint64_t> &DeadCk,
+                                const std::map<uint64_t, uint64_t> &RefDeltaCk,
+                                const std::vector<SnapStoreEntry> &Tail,
+                                std::string &Error) {
+  using Region = PagedIndexReader::Region;
+  // The old checkpoint's regions; all empty when there is none, so the
+  // same merge below writes a first checkpoint from the tail alone.
+  Region OBlob, ODir, OKeys[4], OPost[4], OTime, ODedup;
+  uint64_t OldN = 0, OldNextId = 1;
+  CheckpointSource Src;
+  if (Old) {
+    if (!Src.open(Old->Path, Old->PageSums.Off, Old->PageSums.Len,
+                  Old->TableHash)) {
+      Error = "checkpoint carry-forward: " + Src.error();
+      return false;
+    }
+    OBlob = Old->EntryBlob;
+    ODir = Old->EntryDir;
+    for (unsigned D = 0; D < 4; ++D) {
+      OKeys[D] = Old->KeyTables[D];
+      OPost[D] = Old->Postings[D];
+    }
+    OTime = Old->Time;
+    ODedup = Old->Dedup;
+    OldN = Old->EntryCount;
+    OldNextId = Old->HdrNextId;
+  } else if (!DeadCk.empty() || !RefDeltaCk.empty()) {
+    Error = "checkpoint deltas without a checkpoint";
+    return false;
+  }
+
   std::string Tmp = Path + ".tmp";
   std::FILE *F = std::fopen(Tmp.c_str(), "wb");
   if (!F) {
@@ -356,35 +601,119 @@ bool traceback::writePagedIndex(
   H.JournalBytes = HI.JournalBytes;
   H.JournalHeadHash = HI.JournalHeadHash;
   H.JournalTailHash = HI.JournalTailHash;
+  H.EntryCount = OldN + Tail.size();
 
   PageStreamWriter W(F);
-  bool Ok = true;
-  // Placeholder header page; patched after everything else is laid out.
-  {
-    std::vector<uint8_t> Zero(TbixPageSize, 0);
-    Ok = W.write(Zero.data(), Zero.size());
-  }
-
-  // --- Entry blob (streamed) + accumulated side tables -------------------
-  struct DirRow {
-    uint64_t Id, Off;
-    uint32_t Len;
+  std::string Why; // A structural fault in the old checkpoint.
+  auto bad = [&](const std::string &What) {
+    Why = What;
+    return false;
   };
-  std::vector<DirRow> Dir;
-  // std::map keys the tables deterministically (sorted), which makes the
-  // checkpoint byte-reproducible for equal store state.
-  std::map<uint64_t, std::vector<uint64_t>> Post[4];
-  std::vector<std::pair<uint64_t, uint64_t>> Time;
-  std::vector<TbixDedupRow> Dedup;
 
-  H.Regions[RegEntryBlob][0] = W.offset();
-  {
-    SnapStoreEntry E;
+  auto writeRegions = [&]() -> bool {
+    // Placeholder header page; patched after everything else is laid out.
+    {
+      std::vector<uint8_t> Zero(TbixPageSize, 0);
+      if (!W.write(Zero.data(), Zero.size()))
+        return false;
+    }
+    if (ODir.Len != OldN * 20)
+      return bad("entry directory length mismatch");
+
+    // --- Patch sites: the records whose refcount or Dead flag the tail
+    // changed, located by one pass over the old directory. -------------
+    struct Patch {
+      uint64_t Id = 0, Delta = 0, At = 0;
+      bool Kill = false;
+    };
+    std::vector<Patch> Patches;
+    {
+      auto R = RefDeltaCk.begin();
+      auto K = DeadCk.begin();
+      while (R != RefDeltaCk.end() || K != DeadCk.end()) {
+        Patch P;
+        P.Id = K == DeadCk.end() ? R->first
+               : R == RefDeltaCk.end() ? *K
+                                       : std::min(R->first, *K);
+        if (R != RefDeltaCk.end() && R->first == P.Id)
+          P.Delta = (R++)->second;
+        if (K != DeadCk.end() && *K == P.Id) {
+          P.Kill = true;
+          ++K;
+        }
+        Patches.push_back(P);
+      }
+    }
+    size_t Found = 0;
+    bool Scanned =
+        Patches.empty() ||
+        Src.forEachBatch(ODir.Off, OldN, 20, [&](const uint8_t *P, uint64_t N) {
+          for (const uint8_t *Row = P; Row != P + N * 20; Row += 20) {
+            uint64_t Id, Off;
+            uint32_t Len;
+            std::memcpy(&Id, Row, 8);
+            if (Id != Patches[Found].Id)
+              continue;
+            std::memcpy(&Off, Row + 8, 8);
+            std::memcpy(&Len, Row + 16, 4);
+            if (Len < RecFixedBytes || Off + Len > OBlob.Len)
+              return bad("entry " + std::to_string(Id) + " out of the blob");
+            Patches[Found].At = Off;
+            if (++Found == Patches.size())
+              return false; // Stop at the last patch.
+          }
+          return true;
+        });
+    if (Found < Patches.size())
+      return Scanned ? bad("entry " + std::to_string(Patches[Found].Id) +
+                           " is not in the checkpoint")
+                     : false;
+
+    // --- Entry blob: old bytes with the patches applied, then the tail's
+    // records, whose side tables accumulate as they encode. -------------
+    H.Regions[RegEntryBlob][0] = W.offset();
+    Src.seek(OBlob.Off);
+    uint64_t Done = 0;
+    for (const Patch &P : Patches) {
+      uint64_t At = P.At + RecRefCountOff;
+      if (At < Done)
+        return bad("entry directory out of order");
+      uint8_t Field[RecFixedBytes - RecRefCountOff]; // RefCount, Dead.
+      if (!Src.copyTo(W, At - Done) || !Src.read(Field, sizeof(Field)))
+        return false;
+      uint64_t Refs;
+      std::memcpy(&Refs, Field, 8);
+      Refs += P.Delta;
+      std::memcpy(Field, &Refs, 8);
+      if (P.Kill)
+        Field[RecDeadOff - RecRefCountOff] = 1;
+      if (!W.write(Field, sizeof(Field)))
+        return false;
+      Done = At + sizeof(Field);
+    }
+    if (!Src.copyTo(W, OBlob.Len - Done))
+      return false;
+
+    struct DirRow {
+      uint64_t Id, Off;
+      uint32_t Len;
+    };
+    std::vector<DirRow> Dir;
+    Dir.reserve(Tail.size());
+    // std::map keys the tables deterministically (sorted), which makes the
+    // checkpoint byte-reproducible for equal store state.
+    std::map<uint64_t, std::vector<uint64_t>> Post[4];
+    struct TimeRow {
+      uint64_t Ts, Id;
+    };
+    std::vector<TimeRow> Time;
+    std::vector<TbixDedupRow> Dedup;
     std::vector<uint8_t> Rec;
-    while (Ok) {
-      E = SnapStoreEntry();
-      if (!NextEntry(E))
-        break;
+    uint64_t MinId = OldNextId;
+    for (const SnapStoreEntry &E : Tail) {
+      if (E.Id < MinId)
+        return bad("tail id " + std::to_string(E.Id) + " out of order");
+      MinId = E.Id + 1;
       Rec.clear();
       serializeEntry(E, Rec);
       Dir.push_back({E.Id, W.offset() - H.Regions[RegEntryBlob][0],
@@ -404,102 +733,173 @@ bool traceback::writePagedIndex(
       Time.push_back({E.Timestamp, E.Id});
       if (!E.Dead)
         Dedup.push_back({E.Fingerprint, E.PayloadHash, E.Id});
-      Ok = W.write(Rec.data(), Rec.size());
+      if (!W.write(Rec.data(), Rec.size()))
+        return false;
     }
-  }
-  H.Regions[RegEntryBlob][1] = W.offset() - H.Regions[RegEntryBlob][0];
-  H.EntryCount = Dir.size();
+    H.Regions[RegEntryBlob][1] = W.offset() - H.Regions[RegEntryBlob][0];
 
-  // --- Entry directory ---------------------------------------------------
-  H.Regions[RegEntryDir][0] = W.offset();
-  for (const DirRow &R : Dir) {
-    uint8_t Row[20];
-    std::memcpy(Row, &R.Id, 8);
-    std::memcpy(Row + 8, &R.Off, 8);
-    std::memcpy(Row + 16, &R.Len, 4);
-    if (!(Ok = W.write(Row, sizeof(Row))))
-      break;
-  }
-  H.Regions[RegEntryDir][1] = W.offset() - H.Regions[RegEntryDir][0];
-
-  // --- Key tables + postings per dimension -------------------------------
-  for (unsigned D = 0; D < 4 && Ok; ++D) {
-    H.Regions[RegKeyFirst + D][0] = W.offset();
-    uint64_t Cum = 0;
-    for (const auto &KV : Post[D]) {
-      uint8_t Row[24];
-      uint64_t Count = KV.second.size();
-      std::memcpy(Row, &KV.first, 8);
-      std::memcpy(Row + 8, &Cum, 8); // id-offset within the posting region
-      std::memcpy(Row + 16, &Count, 8);
-      Cum += Count;
-      if (!(Ok = W.write(Row, sizeof(Row))))
-        break;
+    // --- Entry directory ---------------------------------------------------
+    H.Regions[RegEntryDir][0] = W.offset();
+    Src.seek(ODir.Off);
+    if (!Src.copyTo(W, ODir.Len))
+      return false;
+    for (const DirRow &R : Dir) {
+      uint8_t Row[20];
+      std::memcpy(Row, &R.Id, 8);
+      std::memcpy(Row + 8, &R.Off, 8);
+      std::memcpy(Row + 16, &R.Len, 4);
+      if (!W.write(Row, sizeof(Row)))
+        return false;
     }
-    H.Regions[RegKeyFirst + D][1] = W.offset() - H.Regions[RegKeyFirst + D][0];
-    H.Regions[RegPostFirst + D][0] = W.offset();
-    for (const auto &KV : Post[D]) {
-      if (!Ok)
-        break;
-      Ok = W.write(KV.second.data(), KV.second.size() * 8);
+    H.Regions[RegEntryDir][1] = W.offset() - H.Regions[RegEntryDir][0];
+
+    // --- Key tables + postings per dimension: the union of the old and
+    // the tail's keys; per key the old ids (all smaller) then the tail's.
+    for (unsigned D = 0; D < 4; ++D) {
+      if (OKeys[D].Len % 24 != 0)
+        return bad("key table length mismatch");
+      std::vector<std::pair<uint64_t, uint64_t>> OldKeys; // (key, count)
+      OldKeys.reserve(static_cast<size_t>(OKeys[D].Len / 24));
+      uint64_t Cum = 0;
+      if (!Src.forEachBatch(
+              OKeys[D].Off, OKeys[D].Len / 24, 24,
+              [&](const uint8_t *P, uint64_t N) {
+                for (const uint8_t *Row = P; Row != P + N * 24; Row += 24) {
+                  uint64_t Key, Off, Count;
+                  std::memcpy(&Key, Row, 8);
+                  std::memcpy(&Off, Row + 8, 8);
+                  std::memcpy(&Count, Row + 16, 8);
+                  if (Off != Cum ||
+                      (!OldKeys.empty() && Key <= OldKeys.back().first))
+                    return bad("key table out of order");
+                  Cum += Count;
+                  OldKeys.push_back({Key, Count});
+                }
+                return true;
+              }))
+        return false;
+      if (Cum * 8 != OPost[D].Len)
+        return bad("posting region length mismatch");
+
+      // Walks the merged key order, calling Fn(key, old (key, count) row
+      // or null, tail ids or null) once per key.
+      auto mergeKeys = [&](auto &&Fn) {
+        size_t OI = 0;
+        auto TI = Post[D].begin();
+        while (OI < OldKeys.size() || TI != Post[D].end()) {
+          bool TakeOld = OI < OldKeys.size() &&
+                         (TI == Post[D].end() || OldKeys[OI].first <= TI->first);
+          bool TakeTail = TI != Post[D].end() &&
+                          (OI == OldKeys.size() || TI->first <= OldKeys[OI].first);
+          uint64_t Key = TakeOld ? OldKeys[OI].first : TI->first;
+          const std::pair<uint64_t, uint64_t> *O =
+              TakeOld ? &OldKeys[OI++] : nullptr;
+          const std::vector<uint64_t> *T = TakeTail ? &(TI++)->second : nullptr;
+          if (!Fn(Key, O, T))
+            return false;
+        }
+        return true;
+      };
+
+      H.Regions[RegKeyFirst + D][0] = W.offset();
+      Cum = 0;
+      if (!mergeKeys([&](uint64_t Key, const std::pair<uint64_t, uint64_t> *O,
+                         const std::vector<uint64_t> *T) {
+            uint64_t Count = (O ? O->second : 0) + (T ? T->size() : 0);
+            uint8_t Row[24];
+            std::memcpy(Row, &Key, 8);
+            std::memcpy(Row + 8, &Cum, 8); // id-offset within the postings
+            std::memcpy(Row + 16, &Count, 8);
+            Cum += Count;
+            return W.write(Row, sizeof(Row));
+          }))
+        return false;
+      H.Regions[RegKeyFirst + D][1] =
+          W.offset() - H.Regions[RegKeyFirst + D][0];
+
+      H.Regions[RegPostFirst + D][0] = W.offset();
+      Src.seek(OPost[D].Off);
+      if (!mergeKeys([&](uint64_t, const std::pair<uint64_t, uint64_t> *O,
+                         const std::vector<uint64_t> *T) {
+            return (!O || Src.copyTo(W, O->second * 8)) &&
+                   (!T || W.write(T->data(), T->size() * 8));
+          }))
+        return false;
+      H.Regions[RegPostFirst + D][1] =
+          W.offset() - H.Regions[RegPostFirst + D][0];
     }
-    H.Regions[RegPostFirst + D][1] =
-        W.offset() - H.Regions[RegPostFirst + D][0];
-  }
 
-  // --- Time table (already ascending: entries stream in id order and
-  // ties sort by id; sort pairs to get (ts, id) order) --------------------
-  std::sort(Time.begin(), Time.end());
-  H.Regions[RegTime][0] = W.offset();
-  if (Ok && !Time.empty())
-    Ok = W.write(Time.data(), Time.size() * 16);
-  H.Regions[RegTime][1] = W.offset() - H.Regions[RegTime][0];
+    // --- Time table: (ts, id) pairs are unique, so merging the two sorted
+    // runs gives exactly the order a full sort would. ---------------------
+    if (OTime.Len % 16 != 0)
+      return bad("time table length mismatch");
+    auto timeLess = [](const TimeRow &A, const TimeRow &B) {
+      return std::tie(A.Ts, A.Id) < std::tie(B.Ts, B.Id);
+    };
+    std::sort(Time.begin(), Time.end(), timeLess);
+    H.Regions[RegTime][0] = W.offset();
+    if (!mergeTable(Src, W, OTime.Off, OTime.Len / 16, Time, timeLess,
+                    [](const TimeRow &) { return false; }))
+      return false;
+    H.Regions[RegTime][1] = W.offset() - H.Regions[RegTime][0];
 
-  // --- Dedup table -------------------------------------------------------
-  std::sort(Dedup.begin(), Dedup.end(),
-            [](const TbixDedupRow &A, const TbixDedupRow &B) {
-              return A.Fp != B.Fp ? A.Fp < B.Fp : A.Ph < B.Ph;
-            });
-  H.Regions[RegDedup][0] = W.offset();
-  for (const TbixDedupRow &R : Dedup) {
-    uint8_t Row[24];
-    std::memcpy(Row, &R.Fp, 8);
-    std::memcpy(Row + 8, &R.Ph, 8);
-    std::memcpy(Row + 16, &R.Id, 8);
-    if (!(Ok = W.write(Row, sizeof(Row))))
-      break;
-  }
-  H.Regions[RegDedup][1] = W.offset() - H.Regions[RegDedup][0];
+    // --- Dedup table: live rows only, in (Fp, Ph, Id) order — a total
+    // order, so the bytes never rest on how a sort breaks ties. ----------
+    if (ODedup.Len % 24 != 0)
+      return bad("dedup table length mismatch");
+    auto rowLess = [](const TbixDedupRow &A, const TbixDedupRow &B) {
+      return std::tie(A.Fp, A.Ph, A.Id) < std::tie(B.Fp, B.Ph, B.Id);
+    };
+    std::sort(Dedup.begin(), Dedup.end(), rowLess);
+    H.Regions[RegDedup][0] = W.offset();
+    if (!mergeTable(Src, W, ODedup.Off, ODedup.Len / 24, Dedup, rowLess,
+                    [&](const TbixDedupRow &R) { return DeadCk.count(R.Id); }))
+      return false;
+    H.Regions[RegDedup][1] = W.offset() - H.Regions[RegDedup][0];
 
-  // --- Page-sum table (page-aligned so every data page is full) ----------
-  if (Ok)
-    Ok = W.padToPage();
-  H.Regions[RegPageSums][0] = W.offset();
-  std::vector<uint64_t> Sums = W.pageSums();
-  if (Ok && !Sums.empty())
-    Ok = W.write(Sums.data(), Sums.size() * 8);
-  H.Regions[RegPageSums][1] = W.offset() - H.Regions[RegPageSums][0];
-  H.TableHash = fnv1a64(Sums.data(), Sums.size() * 8);
-  // Flush the table's trailing partial page; FileBytes is the padded,
-  // page-aligned size the reader checks against.
-  if (Ok)
-    Ok = W.padToPage();
-  H.FileBytes = W.offset();
+    // --- Page-sum table (page-aligned so every data page is full) --------
+    if (!W.padToPage())
+      return false;
+    H.Regions[RegPageSums][0] = W.offset();
+    std::vector<uint64_t> Sums = W.pageSums();
+    if (!Sums.empty() && !W.write(Sums.data(), Sums.size() * 8))
+      return false;
+    H.Regions[RegPageSums][1] = W.offset() - H.Regions[RegPageSums][0];
+    H.TableHash = fnv1a64(Sums.data(), Sums.size() * 8);
+    // Flush the table's trailing partial page; FileBytes is the padded,
+    // page-aligned size the reader checks against.
+    if (!W.padToPage() || !W.flush())
+      return false;
+    H.FileBytes = W.offset();
 
-  // Patch the header page in place.
-  if (Ok) {
+    // Patch the header page in place.
     std::vector<uint8_t> HdrBytes = serializeHeader(H);
-    Ok = std::fseek(F, 0, SEEK_SET) == 0 &&
-         std::fwrite(HdrBytes.data(), 1, HdrBytes.size(), F) ==
-             HdrBytes.size();
-  }
+    return std::fseek(F, 0, SEEK_SET) == 0 &&
+           std::fwrite(HdrBytes.data(), 1, HdrBytes.size(), F) ==
+               HdrBytes.size();
+  };
+
+  bool Ok = writeRegions();
   Ok = std::fflush(F) == 0 && Ok;
   Ok = std::fclose(F) == 0 && Ok;
-  if (Ok)
+  if (Ok) {
+    // Remove the old file first instead of renaming over it: on ext4 a
+    // rename over an existing file forces writeback of the new one, and
+    // each later release of a written-back checkpoint then waits on the
+    // disk, which can cost more than the whole write. A crash between
+    // the two steps leaves only the .tmp, and the next open replays the
+    // journal: the checkpoint is an accelerator, validated at open.
+    std::remove(Path.c_str());
     Ok = std::rename(Tmp.c_str(), Path.c_str()) == 0;
+  }
   if (!Ok) {
     std::remove(Tmp.c_str());
-    Error = "checkpoint write failed: " + Path;
+    if (!Why.empty())
+      Error = "checkpoint carry-forward: " + Why;
+    else if (!Src.error().empty())
+      Error = "checkpoint carry-forward: " + Src.error();
+    else
+      Error = "checkpoint write failed: " + Path;
   }
   return Ok;
 }
@@ -645,6 +1045,8 @@ PagedIndexReader::open(const std::string &Path, const std::string &JournalPath,
   }
   R->Time = {H.Regions[RegTime][0], H.Regions[RegTime][1]};
   R->Dedup = {H.Regions[RegDedup][0], H.Regions[RegDedup][1]};
+  R->PageSums = {TableOff, TableLen};
+  R->TableHash = H.TableHash;
   R->TimeRows = R->Time.Len / 16;
   R->DedupRows = R->Dedup.Len / 24;
   // At least two pages of cache, whatever the configured cap, or nothing

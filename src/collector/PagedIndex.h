@@ -10,10 +10,12 @@
 /// line-oriented journal (`index.tbx`) remains the crash-consistent
 /// write-ahead record of everything that ever happened to the store; the
 /// checkpoint (`index.tbx2`) is a pure accelerator written at close()
-/// and compact() time. Opening a store with a valid checkpoint loads a
-/// 4 KiB header, verifies every page's FNV-1a checksum with one
-/// sequential streaming pass (no decode, no resident state), and then
-/// replays only the journal bytes appended after the checkpoint. A
+/// and compact() time; close() carries the previous checkpoint forward
+/// and encodes only the entries appended since (see writePagedIndex).
+/// Opening a store with a valid checkpoint loads a 4 KiB header,
+/// verifies every page's checksum with one sequential streaming pass
+/// (no decode, no resident state), and then replays only the journal
+/// bytes appended after the checkpoint. A
 /// corrupt, torn, or stale checkpoint is simply ignored — open degrades
 /// to full journal replay, never to wrong results.
 ///
@@ -24,7 +26,7 @@
 ///                 (byte length + FNV of the covered prefix's first and
 ///                 last 4 KiB), one (offset, length) pair per region,
 ///                 checksum-table location/hash, header FNV.
-///   entry blob    length-prefixed entry records, ascending id.
+///   entry blob    entry records back to back, ascending id.
 ///   entry dir     (id, blob offset, length) triples, ascending id —
 ///                 binary-searchable through the page cache.
 ///   key tables    per dimension (module / kind-hash / fingerprint /
@@ -32,7 +34,7 @@
 ///                 then the posting ids (ascending entry id) per key.
 ///   time table    (timestamp, id) pairs sorted ascending — retention
 ///                 walks and the fan-in time cursor.
-///   dedup table   (fingerprint, payload hash, id) rows sorted by key —
+///   dedup table   (fingerprint, payload hash, id) rows in that order —
 ///                 the append path's dedup probe, O(log n) page reads.
 ///   page sums     one 64-bit word-wise checksum per data page (pages
 ///                 1..tableStart-1); the table itself is covered by an
@@ -52,10 +54,11 @@
 #include "support/Metrics.h"
 
 #include <cstdint>
-#include <functional>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -100,14 +103,43 @@ struct TbixDedupRow {
   uint64_t Fp = 0, Ph = 0, Id = 0;
 };
 
-/// Streams a checkpoint to \p Path + ".tmp" and renames it into place.
-/// \p NextEntry yields entries in ascending id order (returning false
-/// when exhausted). Posting, time and dedup tables are accumulated
-/// during the streaming pass (O(entries) transient memory —
-/// checkpointing is a maintenance operation; *opening* one is what
-/// stays flat).
+class PagedIndexReader;
+
+/// Writes the checkpoint of a store whose entries are \p Old's entries
+/// followed by \p Tail to \p Path + ".tmp", then removes \p Path and
+/// renames the new file into place.
+/// There is one writer; a store without a usable checkpoint (a fresh
+/// store, an unpaged open, compact()) passes \p Old = null, and every
+/// entry is in \p Tail.
+///
+/// The write carries \p Old forward instead of rebuilding it. It relies
+/// on every checkpoint id preceding every tail id (\p Tail ascending):
+///   - entry blob: \p Old's bytes verbatim, with RefCount patched in the
+///     records \p RefDeltaCk names (+delta) and the Dead flag in those
+///     \p DeadCk names; the tail's records are encoded after them;
+///   - directory: \p Old's rows verbatim, then the tail's;
+///   - key tables: the union of both key sets, rewritten (counts and
+///     posting offsets shift);
+///   - postings: per key, \p Old's ids, then the tail's;
+///   - time table: a two-pointer merge of both (ts, id) sequences;
+///   - dedup table: \p Old's rows minus \p DeadCk ids, merged with the
+///     tail's live rows, in (fingerprint, payload hash, id) order.
+/// The output is byte-identical to encoding every entry from scratch,
+/// so equal store state yields equal bytes whatever \p Old was.
+///
+/// \p Old's file is read sequentially through a buffered handle of the
+/// writer's own (never through the query page cache), and each data
+/// page's checksum is checked against \p Old's page-sum table as the
+/// page streams past: a mismatch fails the write (\p Error names the
+/// page) rather than copying corrupt bytes forward. Transient memory is
+/// O(tail + keys): the tail's side tables, \p Old's key rows, a 256 KiB
+/// read buffer and a 256 KiB write batch — never a decoded checkpoint
+/// entry.
 bool writePagedIndex(const std::string &Path, const PagedIndexHeaderInfo &H,
-                     const std::function<bool(SnapStoreEntry &)> &NextEntry,
+                     const PagedIndexReader *Old,
+                     const std::set<uint64_t> &DeadCk,
+                     const std::map<uint64_t, uint64_t> &RefDeltaCk,
+                     const std::vector<SnapStoreEntry> &Tail,
                      std::string &Error);
 
 //===----------------------------------------------------------------------===//
@@ -183,6 +215,13 @@ public:
   size_t residentBytes() const;
 
 private:
+  friend bool writePagedIndex(const std::string &, const PagedIndexHeaderInfo &,
+                              const PagedIndexReader *,
+                              const std::set<uint64_t> &,
+                              const std::map<uint64_t, uint64_t> &,
+                              const std::vector<SnapStoreEntry> &,
+                              std::string &);
+
   PagedIndexReader() = default;
 
   struct Region {
@@ -202,8 +241,9 @@ private:
   uint64_t EntryCount = 0, HdrNextId = 1, HdrLiveCount = 0,
            HdrLiveBytes = 0, HdrLiveRefs = 0, HdrJournalBytes = 0;
   uint64_t TimeRows = 0, DedupRows = 0;
-  Region EntryBlob, EntryDir, Time, Dedup;
+  Region EntryBlob, EntryDir, Time, Dedup, PageSums;
   Region KeyTables[4], Postings[4];
+  uint64_t TableHash = 0; ///< FNV of the page-sum table (header field).
 
   // Bounded LRU page cache. Pages are raw 4 KiB file chunks; decoded
   // values are never cached (decoding from a resident page is cheap and

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 
@@ -177,9 +178,18 @@ std::string SnapStore::indexPath() const { return Dir + "/index.tbx"; }
 
 std::string SnapStore::checkpointPath() const { return Dir + "/index.tbx2"; }
 
+/// Microseconds elapsed since \p T0.
+static uint64_t usSince(std::chrono::steady_clock::time_point T0) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - T0)
+          .count());
+}
+
 bool SnapStore::open(const std::string &Directory, const SnapStoreOptions &O,
                      std::string &Error) {
   close();
+  auto T0 = std::chrono::steady_clock::now();
   Dir = Directory;
   Opt = O;
   if (Opt.Shards == 0)
@@ -200,6 +210,11 @@ bool SnapStore::open(const std::string &Directory, const SnapStoreOptions &O,
   SM.PointReads = &R.counter("collector.store.point_reads");
   SM.CheckpointFallbacks =
       &R.counter("collector.store.degraded.checkpoint_fallback");
+  SM.CheckpointWriteFailures =
+      &R.counter("collector.store.degraded.checkpoint_write");
+  SM.EntriesEncoded = &R.counter("collector.store.checkpoint.entries_encoded");
+  SM.CheckpointUs = &R.histogram("collector.store.checkpoint_us");
+  SM.OpenUs = &R.histogram("collector.store.open_us");
   SM.LiveEntriesG = &R.gauge("collector.store.live_entries");
   SM.LiveBytesG = &R.gauge("collector.store.live_bytes");
 
@@ -265,6 +280,7 @@ bool SnapStore::open(const std::string &Directory, const SnapStoreOptions &O,
   Open = true;
   SM.LiveEntriesG->set(static_cast<int64_t>(LiveCount));
   SM.LiveBytesG->set(static_cast<int64_t>(LiveBytes));
+  SM.OpenUs->observe(usSince(T0));
   return true;
 }
 
@@ -1163,6 +1179,7 @@ bool SnapStore::materializeFromCheckpoint(std::string *Error) {
 bool SnapStore::writeCheckpoint() {
   if (Opt.ReadOnly)
     return false;
+  auto T0 = std::chrono::steady_clock::now();
   PagedIndexHeaderInfo H;
   H.NextId = NextId;
   H.LiveCount = LiveCount;
@@ -1173,11 +1190,9 @@ bool SnapStore::writeCheckpoint() {
   // in — its length plus FNV windows over the first and last 4 KiB. A
   // journal that later shrinks or diverges (compact crash, truncation)
   // fails these checks at open and the checkpoint is ignored.
-  {
-    std::FILE *J = std::fopen(indexPath().c_str(), "rb");
-    if (!J)
-      return false;
-    bool JOk = std::fseek(J, 0, SEEK_END) == 0;
+  bool JOk = false;
+  if (std::FILE *J = std::fopen(indexPath().c_str(), "rb")) {
+    JOk = std::fseek(J, 0, SEEK_END) == 0;
     long Sz = JOk ? std::ftell(J) : -1;
     JOk = JOk && Sz >= 0;
     if (JOk) {
@@ -1200,34 +1215,26 @@ bool SnapStore::writeCheckpoint() {
       }
     }
     std::fclose(J);
-    if (!JOk)
-      return false;
   }
 
-  // Stream entries in ascending id order: checkpoint entries (with the
-  // tail's refcount/eviction deltas folded in) first, then the tail.
-  uint64_t CkN = Ck ? Ck->entryCount() : 0;
-  uint64_t CkI = 0;
-  size_t TailI = 0;
-  bool ReadFail = false;
-  auto NextE = [&](SnapStoreEntry &Out) -> bool {
-    if (CkI < CkN) {
-      if (!readCkEntryAt(CkI++, Out)) {
-        ReadFail = true;
-        return false;
-      }
-      return true;
-    }
-    if (TailI < Entries.size()) {
-      Out = Entries[TailI++];
-      return true;
-    }
-    return false;
-  };
-  std::string CkErr;
-  bool Ok = writePagedIndex(checkpointPath(), H, NextE, CkErr) && !ReadFail;
-  if (!Ok)
+  // The old checkpoint (if this open used one) is carried forward; only
+  // the tail's entries are encoded.
+  std::string Why;
+  bool Ok = JOk && writePagedIndex(checkpointPath(), H, Ck.get(), DeadCk,
+                                   RefDeltaCk, Entries, Why);
+  if (!JOk)
+    Why = "cannot read index journal coverage: " + indexPath();
+  if (Ok) {
+    CkWriteFailure.clear();
+    SM.EntriesEncoded->add(Entries.size());
+  } else {
+    // A failed write leaves no checkpoint: the next open replays the
+    // journal, which is always correct.
     std::remove(checkpointPath().c_str());
+    CkWriteFailure = Why;
+    SM.CheckpointWriteFailures->add();
+  }
+  SM.CheckpointUs->observe(usSince(T0));
   return Ok;
 }
 

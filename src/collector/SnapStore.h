@@ -28,8 +28,9 @@
 /// entries are then read on demand through a bounded LRU page cache, so
 /// resident index memory stays flat however large the store grows. A
 /// corrupt, torn or stale checkpoint is ignored and open degrades to
-/// full journal replay — never to wrong results. close() and compact()
-/// write a fresh checkpoint.
+/// full journal replay — never to wrong results. close() writes the
+/// next checkpoint by carrying the current one forward and encoding only
+/// the tail; compact() writes a fresh one.
 ///
 /// Query evaluation is index-only: each predicate dimension keeps a
 /// posting list (sorted entry ids per key), the planner starts from the
@@ -188,7 +189,14 @@ public:
   /// or there was none. Each such fallback also counts in
   /// `collector.store.degraded.checkpoint_fallback`.
   const std::string &checkpointFallbackReason() const { return CkFallback; }
-  /// Writes a fresh checkpoint (writable, dirty stores), flushes and
+  /// Why the last checkpoint write (close() or compact()) failed; "" when
+  /// it succeeded or none was written. A failed write removes the
+  /// checkpoint, so the next open replays the journal. Each failure also
+  /// counts in `collector.store.degraded.checkpoint_write`.
+  const std::string &checkpointWriteFailureReason() const {
+    return CkWriteFailure;
+  }
+  /// Writes the next checkpoint (writable, dirty stores), flushes and
   /// closes; the store can be reopened.
   void close();
 
@@ -355,7 +363,8 @@ private:
   /// Folds checkpoint + tail into plain in-memory state (paged stores
   /// only) — the first step of compact().
   bool materializeFromCheckpoint(std::string *Error);
-  /// Writes a fresh TBIX v2 checkpoint covering the current journal.
+  /// Writes a TBIX v2 checkpoint covering the current journal, carrying
+  /// the open checkpoint (if any) forward and encoding only the tail.
   bool writeCheckpoint();
   /// Evicts until the byte/age caps hold. Returns how many were evicted.
   size_t enforceRetention();
@@ -406,6 +415,7 @@ private:
   // the journal tail applied on top of it.
   std::unique_ptr<PagedIndexReader> Ck;
   std::string CkFallback;
+  std::string CkWriteFailure;
   std::set<uint64_t> DeadCk;                ///< Ck entries evicted post-ck.
   std::map<uint64_t, uint64_t> RefDeltaCk;  ///< Post-ck refcount bumps.
   uint64_t CkRefsLive = 0; ///< Live refs held by checkpoint entries.
@@ -431,6 +441,10 @@ private:
     Counter *Queries = nullptr;
     Counter *PointReads = nullptr;
     Counter *CheckpointFallbacks = nullptr;
+    Counter *CheckpointWriteFailures = nullptr;
+    Counter *EntriesEncoded = nullptr; ///< Entries a checkpoint serialized.
+    Histogram *CheckpointUs = nullptr;
+    Histogram *OpenUs = nullptr;
     Gauge *LiveEntriesG = nullptr;
     Gauge *LiveBytesG = nullptr;
   };

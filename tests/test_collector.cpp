@@ -27,8 +27,10 @@
 #include "TestHelpers.h"
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <set>
+#include <tuple>
 #include <unistd.h>
 
 using namespace traceback;
@@ -939,6 +941,346 @@ TEST(PagedStoreTest, PageCacheBoundsResidentBytesAndCounts) {
   EXPECT_LE(St.pageCacheResidentBytes(), Tiny.PageCacheBytes);
   EXPECT_EQ(static_cast<size_t>(Reg.gauge("store.bytes_resident").value()),
             St.pageCacheResidentBytes());
+}
+
+//===----------------------------------------------------------------------===//
+// Carrying the checkpoint forward at close()
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One appended image, remembered so a later generation can append the
+/// same bytes again (a dedup hit on a checkpoint entry).
+struct CarryImage {
+  std::vector<uint8_t> Bytes;
+  uint64_t SrcMachineId = 0;
+  uint64_t Id = 0;
+  uint64_t Ts = 0;
+};
+
+/// A snap for generation \p Gen: module, kind, fingerprint and machine
+/// keys of its own, three modules on every third snap, and process names
+/// of 1..37 bytes so records land at every alignment within a page.
+CarryImage carryImage(int Gen, int I, uint64_t Ts) {
+  std::string GenMod = "gen" + std::to_string(Gen) + "mod";
+  std::vector<TestMod> Mods = {{I % 2 ? "m1" : "m2", true}, {GenMod, true}};
+  if (I % 3 == 0)
+    Mods.push_back({"shared", I % 2 == 0});
+  std::string Machine = I % 4 ? "alpha" : "host-g" + std::to_string(Gen);
+  SnapFile S = makeSnap(Machine, std::string(1 + I % 37, 'p'), 900 + I, Ts,
+                        I % 5 == 4 ? SnapReason::Api : SnapReason::Unhandled,
+                        Mods, I % 5 == 4 ? "" : (I % 2 ? GenMod : "m1"),
+                        static_cast<uint16_t>(1 + I % 3));
+  CarryImage C;
+  C.Bytes = S.serialize();
+  C.SrcMachineId = I % 4 ? 1 + I % 3 : 100 + static_cast<uint64_t>(Gen);
+  C.Ts = Ts;
+  return C;
+}
+
+/// The ids of \p CkPath's entries whose 8-byte RefCount field straddles a
+/// page boundary. Reads the TBX2 layout directly: the region table
+/// starts at header byte 88 (blob, then directory), directory rows are
+/// (id u64, blob offset u64, length u32), and RefCount sits at byte 70
+/// of a record.
+std::set<uint64_t> refCountStraddlers(const std::string &CkPath) {
+  std::vector<uint8_t> Ck;
+  std::set<uint64_t> Ids;
+  if (!readFileBytes(CkPath, Ck) || Ck.size() < 4096)
+    return Ids;
+  uint64_t BlobOff, DirOff, DirLen;
+  std::memcpy(&BlobOff, Ck.data() + 88, 8);
+  std::memcpy(&DirOff, Ck.data() + 104, 8);
+  std::memcpy(&DirLen, Ck.data() + 112, 8);
+  for (uint64_t Row = DirOff; Row + 20 <= DirOff + DirLen; Row += 20) {
+    uint64_t Id, Off;
+    std::memcpy(&Id, Ck.data() + Row, 8);
+    std::memcpy(&Off, Ck.data() + Row + 8, 8);
+    uint64_t At = BlobOff + Off + 70;
+    if (At / 4096 != (At + 7) / 4096)
+      Ids.insert(Id);
+  }
+  return Ids;
+}
+
+/// Copies store directory \p From to \p To (replacing it).
+void copyStoreDir(const std::string &From, const std::string &To) {
+  std::error_code EC;
+  fs::remove_all(To, EC);
+  fs::copy(From, To, fs::copy_options::recursive, EC);
+  ASSERT_FALSE(EC) << EC.message();
+}
+
+} // namespace
+
+// close() carries the old checkpoint forward: old records are copied as
+// bytes with refcount/Dead patched in place, tables are merged, and only
+// the tail is encoded. The oracle is the from-scratch write an unpaged
+// open of a copy of the same directory makes: the two files must be
+// byte-identical, generation after generation.
+TEST(PagedStoreTest, MergedCheckpointMatchesFullRewrite) {
+  std::string Dir = tempStoreDir("carry"), OracleDir = tempStoreDir("carry-o");
+  std::string CkPath = (fs::path(Dir) / "index.tbx2").string();
+  std::string OracleCk = (fs::path(OracleDir) / "index.tbx2").string();
+  SnapStoreOptions O;
+  O.Shards = 3;
+  std::string Err;
+  std::vector<CarryImage> All;
+  uint64_t LiveBytes = 0;
+  {
+    SnapStore St;
+    ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
+    for (int I = 0; I < 1800; ++I) {
+      CarryImage C = carryImage(0, I, 1000 + ((I * 13) % 1800) * 5);
+      SnapStore::AppendResult R;
+      ASSERT_TRUE(St.append(C.Bytes, C.SrcMachineId, R, &Err)) << Err;
+      C.Id = R.Id;
+      All.push_back(std::move(C));
+    }
+    LiveBytes = St.liveBytes();
+  }
+  std::vector<uint8_t> First;
+  ASSERT_TRUE(readFileBytes(CkPath, First));
+  ASSERT_GT(First.size(), 64u * 4096) << "span more than one read chunk";
+
+  size_t StraddlersPatched = 0;
+  std::string GenKind;
+  for (int Gen = 1; Gen <= 3; ++Gen) {
+    SCOPED_TRACE(::testing::Message() << "generation " << Gen);
+    std::set<uint64_t> Straddle = refCountStraddlers(CkPath);
+    {
+      // Retention: every new entry now evicts the oldest live ones, all
+      // of them checkpoint entries.
+      SnapStoreOptions Capped = O;
+      Capped.MaxBytes = LiveBytes;
+      SnapStore St;
+      ASSERT_TRUE(St.open(Dir, Capped, Err)) << Err;
+      ASSERT_TRUE(St.openedPaged());
+      uint64_t TailStart = St.totalEntries() + 1;
+
+      // Dedup hits on checkpoint entries first: every live entry whose
+      // RefCount straddles a page, and the 40 newest.
+      std::vector<const CarryImage *> Hits;
+      for (const CarryImage &C : All)
+        if (C.Id < TailStart && Straddle.count(C.Id))
+          Hits.push_back(&C);
+      std::vector<const CarryImage *> ByTs;
+      for (const CarryImage &C : All)
+        ByTs.push_back(&C);
+      std::sort(ByTs.begin(), ByTs.end(),
+                [](const CarryImage *A, const CarryImage *B) {
+                  return std::tie(A->Ts, A->Id) > std::tie(B->Ts, B->Id);
+                });
+      Hits.insert(Hits.end(), ByTs.begin(), ByTs.begin() + 40);
+      size_t CkDedups = 0;
+      for (const CarryImage *C : Hits) {
+        const SnapStoreEntry *E = St.entry(C->Id);
+        ASSERT_NE(E, nullptr);
+        bool Live = !E->Dead;
+        SnapStore::AppendResult R;
+        ASSERT_TRUE(St.append(C->Bytes, C->SrcMachineId, R, &Err)) << Err;
+        if (Live) {
+          EXPECT_TRUE(R.Deduped);
+          EXPECT_EQ(R.Id, C->Id);
+          CkDedups += R.Deduped;
+          StraddlersPatched += Straddle.count(C->Id);
+        }
+      }
+      EXPECT_GT(CkDedups, 0u);
+
+      // The tail: new keys in every dimension, newest timestamps.
+      uint64_t Evicted = St.evictions();
+      for (int I = 0; I < 150; ++I) {
+        CarryImage C = carryImage(Gen, I, 20000 * Gen + I * 3);
+        if (I == 1) { // Faults in the generation's own module.
+          SnapFile S;
+          ASSERT_TRUE(SnapFile::deserialize(C.Bytes, S));
+          GenKind = extractSignature(S).Kind;
+        }
+        SnapStore::AppendResult R;
+        ASSERT_TRUE(St.append(C.Bytes, C.SrcMachineId, R, &Err)) << Err;
+        C.Id = R.Id;
+        All.push_back(std::move(C));
+      }
+      EXPECT_GT(St.evictions(), Evicted) << "no checkpoint entry evicted";
+    } // close(): the carry-forward write.
+
+    copyStoreDir(Dir, OracleDir);
+    {
+      SnapStoreOptions Unpaged = O;
+      Unpaged.Paged = false;
+      SnapStore St;
+      ASSERT_TRUE(St.open(OracleDir, Unpaged, Err)) << Err;
+      ASSERT_FALSE(St.openedPaged());
+    } // close(): the from-scratch write.
+    std::vector<uint8_t> Merged, Full;
+    ASSERT_TRUE(readFileBytes(CkPath, Merged));
+    ASSERT_TRUE(readFileBytes(OracleCk, Full));
+    ASSERT_EQ(Merged.size(), Full.size());
+    EXPECT_TRUE(Merged == Full) << "merged checkpoint differs from rewrite";
+
+    SnapStoreOptions RO = O;
+    RO.ReadOnly = true;
+    SnapStore Re;
+    ASSERT_TRUE(Re.open(Dir, RO, Err)) << Err;
+    ASSERT_TRUE(Re.openedPaged());
+    expectPagedQueriesConsistent(Re, nullptr, "reopened");
+    std::string GenMod = "gen" + std::to_string(Gen) + "mod";
+    for (const SnapQuery &Q :
+         {SnapQuery().setModule(GenMod),
+          SnapQuery().setMachine("host-g" + std::to_string(Gen)),
+          SnapQuery().setMachine(std::to_string(100 + Gen)),
+          SnapQuery().setKind(GenKind)}) {
+      std::vector<uint64_t> Want = cursorIds(Re.scan(Q));
+      EXPECT_EQ(cursorIds(Re.query(Q)), Want);
+    }
+    EXPECT_FALSE(cursorIds(Re.query(SnapQuery().setModule(GenMod))).empty());
+    EXPECT_FALSE(cursorIds(Re.query(SnapQuery().setKind(GenKind))).empty());
+    LiveBytes = Re.liveBytes();
+  }
+  EXPECT_GT(StraddlersPatched, 0u) << "no patched RefCount straddled a page";
+}
+
+// A checkpoint page corrupted on disk after a paged open must not be
+// copied forward: the write fails, is counted with the page named, and
+// the store degrades to journal replay until the next close() writes a
+// fresh checkpoint.
+TEST(PagedStoreTest, CorruptPageFailsCheckpointWriteAndIsCounted) {
+  std::string Dir = tempStoreDir("carry-corrupt");
+  std::string CkPath = (fs::path(Dir) / "index.tbx2").string();
+  MetricsRegistry Reg;
+  Counter &WriteFailures =
+      Reg.counter("collector.store.degraded.checkpoint_write");
+  SnapStoreOptions O;
+  O.Metrics = &Reg;
+  std::string Err;
+  {
+    SnapStore St;
+    ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
+    feedPagedStream(St, 200);
+  }
+  EXPECT_EQ(WriteFailures.value(), 0u);
+  {
+    SnapStore St;
+    ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
+    ASSERT_TRUE(St.openedPaged());
+    std::vector<uint8_t> Ck;
+    ASSERT_TRUE(readFileBytes(CkPath, Ck));
+    ASSERT_GT(Ck.size(), 4u * 4096);
+    Ck[2 * 4096 + 100] ^= 0x40; // Page 2: entry records.
+    ASSERT_TRUE(writeFileBytes(CkPath, Ck));
+    feedPagedStream(St, 10, /*TsBase=*/1003);
+    St.close();
+    EXPECT_EQ(WriteFailures.value(), 1u);
+    EXPECT_NE(St.checkpointWriteFailureReason().find("page 2 "),
+              std::string::npos)
+        << St.checkpointWriteFailureReason();
+  }
+  EXPECT_FALSE(fs::exists(CkPath)) << "a failed write leaves no checkpoint";
+  EXPECT_FALSE(fs::exists(CkPath + ".tmp"));
+  {
+    SnapStore St; // Journal replay: no checkpoint to use.
+    ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
+    EXPECT_FALSE(St.openedPaged());
+    expectPagedQueriesConsistent(St, nullptr, "replayed");
+  } // close() writes a fresh checkpoint.
+  EXPECT_EQ(WriteFailures.value(), 1u);
+  SnapStore St;
+  ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
+  EXPECT_TRUE(St.openedPaged());
+  EXPECT_EQ(St.checkpointFallbackReason(), "");
+  expectPagedQueriesConsistent(St, nullptr, "re-checkpointed");
+}
+
+// The checkpoint and open stages report into the store's registry: how
+// long each took, and how many entries a checkpoint had to encode — all
+// of them on a first write, only the tail when the old one is carried.
+TEST(PagedStoreTest, CheckpointInstrumentsCountEncodedEntries) {
+  std::string Dir = tempStoreDir("carry-instruments");
+  MetricsRegistry Reg;
+  Counter &Encoded = Reg.counter("collector.store.checkpoint.entries_encoded");
+  Histogram &CheckpointUs = Reg.histogram("collector.store.checkpoint_us");
+  Histogram &OpenUs = Reg.histogram("collector.store.open_us");
+  SnapStoreOptions O;
+  O.Metrics = &Reg;
+  std::string Err;
+  uint64_t First = 0;
+  {
+    SnapStore St;
+    ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
+    feedPagedStream(St, 50);
+    First = St.totalEntries();
+  }
+  EXPECT_EQ(Encoded.value(), First);
+  EXPECT_EQ(CheckpointUs.count(), 1u);
+  EXPECT_EQ(OpenUs.count(), 1u);
+  uint64_t Tail = 0;
+  {
+    SnapStore St;
+    ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
+    ASSERT_TRUE(St.openedPaged());
+    feedPagedStream(St, 12, /*TsBase=*/1010);
+    Tail = St.totalEntries() - First;
+    ASSERT_GT(Tail, 0u);
+  }
+  EXPECT_EQ(Encoded.value(), First + Tail);
+  EXPECT_EQ(CheckpointUs.count(), 2u);
+  EXPECT_EQ(OpenUs.count(), 2u);
+  {
+    SnapStore St; // Clean paged open: close() has nothing to write.
+    ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
+  }
+  EXPECT_EQ(CheckpointUs.count(), 2u);
+  EXPECT_EQ(OpenUs.count(), 3u);
+}
+
+// A crash mid-write leaves a torn index.tbx2.tmp beside the valid
+// checkpoint. Open never reads the temp file, and the next close()
+// writes over it and renames it into place.
+TEST(PagedStoreTest, TornTempCheckpointIsIgnoredAndReplaced) {
+  std::string Dir = tempStoreDir("carry-torn");
+  std::string CkPath = (fs::path(Dir) / "index.tbx2").string();
+  std::string TmpPath = CkPath + ".tmp";
+  MetricsRegistry Reg;
+  SnapStoreOptions O;
+  O.Metrics = &Reg;
+  std::string Err;
+  {
+    SnapStore St;
+    ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
+    feedPagedStream(St, 200);
+  }
+  int Round = 0;
+  for (size_t Cut : {size_t(0), size_t(3 * 4096 + 1234), size_t(5 * 4096)}) {
+    SCOPED_TRACE(::testing::Message() << "torn at " << Cut);
+    std::vector<uint8_t> Ck;
+    ASSERT_TRUE(readFileBytes(CkPath, Ck));
+    ASSERT_GT(Ck.size(), Cut);
+    ASSERT_TRUE(writeFileBytes(
+        TmpPath, std::vector<uint8_t>(Ck.begin(), Ck.begin() + Cut)));
+    {
+      SnapStore St;
+      ASSERT_TRUE(St.open(Dir, O, Err)) << Err;
+      EXPECT_TRUE(St.openedPaged());
+      EXPECT_EQ(St.checkpointFallbackReason(), "");
+      expectPagedQueriesConsistent(St, nullptr, "beside torn tmp");
+      feedPagedStream(St, 8, /*TsBase=*/1001 + Round++);
+    }
+    EXPECT_FALSE(fs::exists(TmpPath));
+    std::vector<uint8_t> After;
+    ASSERT_TRUE(readFileBytes(CkPath, After));
+    EXPECT_NE(After, Ck);
+    SnapStoreOptions RO = O;
+    RO.ReadOnly = true;
+    SnapStore Re;
+    ASSERT_TRUE(Re.open(Dir, RO, Err)) << Err;
+    EXPECT_TRUE(Re.openedPaged());
+    expectPagedQueriesConsistent(Re, nullptr, "replaced");
+  }
+  EXPECT_EQ(Reg.counter("collector.store.degraded.checkpoint_fallback").value(),
+            0u);
+  EXPECT_EQ(Reg.counter("collector.store.degraded.checkpoint_write").value(),
+            0u);
 }
 
 //===----------------------------------------------------------------------===//
