@@ -16,7 +16,10 @@
 //   pipeline_Nt_cached    ... plus the worker pool (N = min(4, hw))
 //
 // Every variant must render byte-identical traces; the run aborts if any
-// differs. Results go to BENCH_reconstruct.json for the perf trajectory.
+// differs. That render pass (fault view, plus every thread's flat trace
+// and call tree) is timed too: the best of the variants' passes is
+// reported as render_ms and render_mb_per_s, not gated. Results go to
+// BENCH_reconstruct.json for the perf trajectory.
 //
 //===----------------------------------------------------------------------===//
 
@@ -88,10 +91,19 @@ struct VariantResult {
   double RecordsPerSec = 0;
 };
 
+/// The fastest of the byte-identity render passes.
+struct RenderResult {
+  double Seconds = 1e100;
+  size_t Bytes = 0;
+  double mbPerSec() const {
+    return static_cast<double>(Bytes) / 1e6 / Seconds;
+  }
+};
+
 void writeJson(const std::vector<VariantResult> &Variants,
                const SynthWorkloadOptions &O, uint64_t Records,
                uint64_t CacheHits, uint64_t CacheMisses,
-               const MetricsSnapshot &Metrics) {
+               const RenderResult &Render, const MetricsSnapshot &Metrics) {
   std::string J = "{\n  \"bench\": \"reconstruct\",\n";
   J += formatv("  \"host_hw_threads\": %u,\n",
                std::thread::hardware_concurrency());
@@ -111,6 +123,9 @@ void writeJson(const std::vector<VariantResult> &Variants,
                  I + 1 < Variants.size() ? "," : "");
   }
   J += "  ],\n";
+  J += formatv("  \"render_ms\": %.3f,\n  \"render_mb_per_s\": %.1f,\n"
+               "  \"render_bytes\": %zu,\n",
+               Render.Seconds * 1e3, Render.mbPerSec(), Render.Bytes);
   J += formatv("  \"decode_cache\": {\"hits\": %llu, \"misses\": %llu},\n",
                static_cast<unsigned long long>(CacheHits),
                static_cast<unsigned long long>(CacheMisses));
@@ -177,6 +192,7 @@ void printPipelineBench() {
   printRule();
 
   std::vector<VariantResult> Results;
+  RenderResult Render;
   std::string Reference;
   uint64_t CacheHits = 0, CacheMisses = 0;
   // All variants measure into one local registry (not the process-global
@@ -190,7 +206,15 @@ void printPipelineBench() {
     // Warmup run: primes the decode cache (steady-state is what batch
     // mode sees) and yields the output for the identical-trace check.
     ReconstructedTrace First = R.reconstruct(W.Snap, Pool.get());
+    auto R0 = std::chrono::steady_clock::now();
     std::string Rendered = renderAll(W.Snap, First);
+    double RS = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - R0)
+                    .count();
+    if (RS < Render.Seconds) {
+      Render.Seconds = RS;
+      Render.Bytes = Rendered.size();
+    }
     if (Reference.empty())
       Reference = Rendered;
     else if (Rendered != Reference) {
@@ -227,10 +251,14 @@ void printPipelineBench() {
   std::printf("decode cache steady state: %llu hits, %llu misses\n",
               static_cast<unsigned long long>(CacheHits),
               static_cast<unsigned long long>(CacheMisses));
-  std::printf("all %zu variants rendered byte-identical traces\n\n",
+  std::printf("all %zu variants rendered byte-identical traces\n",
+              Configs.size());
+  std::printf("render (fault view + flat + call tree): %.3f ms for %zu "
+              "bytes, %.1f MB/s (best of %zu)\n\n",
+              Render.Seconds * 1e3, Render.Bytes, Render.mbPerSec(),
               Configs.size());
 
-  writeJson(Results, O, W.DagRecords, CacheHits, CacheMisses,
+  writeJson(Results, O, W.DagRecords, CacheHits, CacheMisses, Render,
             Registry.snapshot());
 }
 

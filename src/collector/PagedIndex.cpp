@@ -6,6 +6,7 @@
 
 #include "collector/PagedIndex.h"
 
+#include "support/Hash.h"
 #include "triage/Signature.h"
 
 #include <algorithm>
@@ -15,16 +16,6 @@
 #include <tuple>
 
 using namespace traceback;
-
-uint64_t traceback::fnv1a64(const void *Data, size_t Len, uint64_t Seed) {
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
-  uint64_t H = Seed;
-  for (size_t I = 0; I < Len; ++I) {
-    H ^= P[I];
-    H *= 1099511628211ull;
-  }
-  return H;
-}
 
 namespace {
 
@@ -119,7 +110,8 @@ std::vector<uint8_t> serializeHeader(const HeaderFields &H) {
     putU64(B, R[1]);
   }
   putU64(B, H.TableHash);
-  putU64(B, fnv1a64(B.data(), B.size())); // header self-hash, last field
+  // Header self-hash, last field.
+  putU64(B, fnv1a64(B.data(), B.size(), Fnv64ShortBasis));
   B.resize(TbixPageSize, 0);
   return B;
 }
@@ -172,7 +164,7 @@ bool deserializeHeader(const uint8_t *P, size_t Len, HeaderFields &H,
   H.TableHash = getU64();
   uint64_t Stored;
   std::memcpy(&Stored, P + Off, 8);
-  if (fnv1a64(P, Off) != Stored) {
+  if (fnv1a64(P, Off, Fnv64ShortBasis) != Stored) {
     Why = "header checksum mismatch";
     return false;
   }
@@ -389,7 +381,8 @@ public:
     if (std::fseek(F, static_cast<long>(TableOff), SEEK_SET) != 0 ||
         std::fread(Sums.data(), 8, Sums.size(), F) != Sums.size())
       return fail("cannot read page-sum table");
-    if (fnv1a64(Sums.data(), Sums.size() * 8) != TableHash)
+    if (fnv1a64(Sums.data(), Sums.size() * 8, Fnv64ShortBasis) !=
+        TableHash)
       return fail("page-sum table hash mismatch");
     Buf.resize(ChunkPages * TbixPageSize);
     return true;
@@ -865,7 +858,7 @@ bool traceback::writePagedIndex(const std::string &Path,
     if (!Sums.empty() && !W.write(Sums.data(), Sums.size() * 8))
       return false;
     H.Regions[RegPageSums][1] = W.offset() - H.Regions[RegPageSums][0];
-    H.TableHash = fnv1a64(Sums.data(), Sums.size() * 8);
+    H.TableHash = fnv1a64(Sums.data(), Sums.size() * 8, Fnv64ShortBasis);
     // Flush the table's trailing partial page; FileBytes is the padded,
     // page-aligned size the reader checks against.
     if (!W.padToPage() || !W.flush())
@@ -962,7 +955,8 @@ PagedIndexReader::open(const std::string &Path, const std::string &JournalPath,
   if (std::fseek(F, static_cast<long>(TableOff), SEEK_SET) != 0 ||
       std::fread(Sums.data(), 8, Sums.size(), F) != Sums.size())
     return fail("cannot read page-sum table");
-  if (fnv1a64(Sums.data(), Sums.size() * 8) != H.TableHash)
+  if (fnv1a64(Sums.data(), Sums.size() * 8, Fnv64ShortBasis) !=
+      H.TableHash)
     return fail("page-sum table hash mismatch");
   {
     if (std::fseek(F, TbixPageSize, SEEK_SET) != 0)
@@ -1004,7 +998,7 @@ PagedIndexReader::open(const std::string &Path, const std::string &JournalPath,
       if (std::fseek(J, static_cast<long>(Off), SEEK_SET) != 0 ||
           std::fread(Win, 1, Len, J) != Len)
         return false;
-      Out = fnv1a64(Win, Len);
+      Out = fnv1a64(Win, Len, Fnv64ShortBasis);
       return true;
     };
     if (H.JournalBytes > 0) {

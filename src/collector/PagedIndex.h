@@ -65,11 +65,6 @@
 
 namespace traceback {
 
-/// FNV-1a 64 over a raw byte range (header, page-sum table and journal
-/// coverage windows; data pages use a faster word-wise hash internally).
-uint64_t fnv1a64(const void *Data, size_t Len,
-                 uint64_t Seed = 1469598103934665603ull);
-
 /// The checkpoint's fixed page size.
 constexpr size_t TbixPageSize = 4096;
 

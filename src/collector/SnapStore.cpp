@@ -8,6 +8,7 @@
 
 #include "collector/PagedIndex.h"
 #include "distributed/SnapArchive.h"
+#include "support/Hash.h"
 #include "support/ThreadPool.h"
 #include "triage/Signature.h"
 
@@ -122,15 +123,10 @@ static std::string hex16(uint64_t V) {
   return Buf;
 }
 
-/// FNV-1a 64 over raw bytes — the payload-dedup hash. Same algorithm as
+/// FNV-1a 64 over raw bytes — the payload-dedup hash. Same seed as
 /// triage's signatureHash, which hashes text.
 static uint64_t payloadHash(const std::vector<uint8_t> &Bytes) {
-  uint64_t H = 1469598103934665603ull;
-  for (uint8_t B : Bytes) {
-    H ^= B;
-    H *= 1099511628211ull;
-  }
-  return H;
+  return fnv1a64(Bytes.data(), Bytes.size(), Fnv64ShortBasis);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1204,13 +1200,15 @@ bool SnapStore::writeCheckpoint() {
         JOk = std::fseek(J, 0, SEEK_SET) == 0 &&
               std::fread(WBuf.data(), 1, WLen, J) == WLen;
         if (JOk)
-          H.JournalHeadHash = fnv1a64(WBuf.data(), WLen);
+          H.JournalHeadHash =
+              fnv1a64(WBuf.data(), WLen, Fnv64ShortBasis);
         if (JOk) {
           JOk = std::fseek(J, static_cast<long>(H.JournalBytes - WLen),
                            SEEK_SET) == 0 &&
                 std::fread(WBuf.data(), 1, WLen, J) == WLen;
           if (JOk)
-            H.JournalTailHash = fnv1a64(WBuf.data(), WLen);
+            H.JournalTailHash =
+                fnv1a64(WBuf.data(), WLen, Fnv64ShortBasis);
         }
       }
     }

@@ -7,6 +7,7 @@
 #include "distributed/ServiceDaemon.h"
 
 #include "distributed/SnapArchive.h"
+#include "support/Hash.h"
 #include "support/Text.h"
 #include "triage/SignatureStore.h"
 #include "vm/World.h"
@@ -67,11 +68,7 @@ void ServiceDaemon::onTelemetry(uint64_t RuntimeId,
 
 unsigned ServiceDaemon::shardFor(const std::string &Group) const {
   // FNV-1a: stable across runs and platforms (std::hash is neither).
-  uint64_t H = 1469598103934665603ull;
-  for (char C : Group) {
-    H ^= static_cast<uint8_t>(C);
-    H *= 1099511628211ull;
-  }
+  uint64_t H = fnv1a64(Group.data(), Group.size(), Fnv64ShortBasis);
   unsigned Shards = Ingest.Shards ? Ingest.Shards : 1;
   return static_cast<unsigned>(H % Shards);
 }

@@ -7,6 +7,7 @@
 #include "distributed/Wire.h"
 
 #include "support/ByteStream.h"
+#include "support/Hash.h"
 #include "support/Text.h"
 
 using namespace traceback;
@@ -16,24 +17,14 @@ namespace {
 constexpr uint32_t FrameMagic = 0x464E4254; // "TBNF", little endian.
 constexpr uint16_t FrameVersion = 1;
 
-/// FNV-1a: cheap, deterministic, and enough to catch the bit flips the
-/// fault injector (and the fuzz corpus) produce. The frame checksum
+/// FNV-1a 32: cheap, deterministic, and enough to catch the bit flips
+/// the fault injector (and the fuzz corpus) produce. The frame checksum
 /// covers the header fields AND the payload, so a flipped sequence
 /// number is rejected just like a flipped payload byte.
-uint32_t fnv1a(uint32_t H, const uint8_t *Data, size_t Size) {
-  for (size_t I = 0; I < Size; ++I) {
-    H ^= Data[I];
-    H *= 16777619u;
-  }
-  return H;
-}
-
-constexpr uint32_t FnvInit = 2166136261u;
-
 uint32_t frameChecksum(const uint8_t *Header, size_t HeaderSize,
                        const std::vector<uint8_t> &Payload) {
-  uint32_t H = fnv1a(FnvInit, Header, HeaderSize);
-  return fnv1a(H, Payload.data(), Payload.size());
+  uint32_t H = fnv1a32(Header, HeaderSize, Fnv32Basis);
+  return fnv1a32(Payload.data(), Payload.size(), H);
 }
 
 } // namespace

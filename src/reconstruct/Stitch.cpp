@@ -15,7 +15,7 @@ using namespace traceback;
 
 void DistributedStitcher::addTrace(const ReconstructedTrace &Trace) {
   for (const ThreadTrace &T : Trace.Threads)
-    Threads.push_back(&T);
+    addThread(T);
 }
 
 void DistributedStitcher::noteMissingPeer(const std::string &MachineName) {

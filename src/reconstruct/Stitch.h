@@ -47,6 +47,10 @@ public:
   /// stitcher's results).
   void addTrace(const ReconstructedTrace &Trace);
 
+  /// Registers one physical thread (it must outlive the stitcher's
+  /// results).
+  void addThread(const ThreadTrace &Thread) { Threads.push_back(&Thread); }
+
   /// Records that the snap set is a PARTIAL group snap: machine
   /// \p MachineName was unreachable when the group snap fanned out (a
   /// MISSING-PEER marker stood in for its contribution), so its traces

@@ -3,6 +3,17 @@
 // Part of the TraceBack reproduction project.
 //
 //===----------------------------------------------------------------------===//
+//
+// Every view is built in one output string. Per-event text goes through
+// one append kernel, appendEventLine(), which writes straight into the
+// caller's buffer: names by pointer, integers through std::to_chars,
+// padding as runs of spaces. A fault view is thousands of lines, so a
+// printf call per line would cost more than reconstructing the trace.
+// formatv is left to the once-per-view headers. The output is
+// byte-identical to the printf formats quoted beside each piece
+// (tests/test_views.cpp keeps those formats as an oracle).
+//
+//===----------------------------------------------------------------------===//
 
 #include "reconstruct/Views.h"
 
@@ -10,16 +21,51 @@
 #include "support/Text.h"
 #include "vm/Fault.h"
 
+#include <algorithm>
+#include <charconv>
+
 using namespace traceback;
 
 namespace {
-std::string describeFault(uint16_t Code) {
-  if (Code & 0x8000)
-    return formatv("signal %u", Code & 0xFFF);
-  return faultCodeName(static_cast<FaultCode>(Code));
+/// Bytes reserved per rendered event (a fault view averages ~41).
+constexpr size_t BytesPerEventLine = 48;
+
+/// Appends \p S as printf's "%s" would: up to its first NUL.
+void appendStr(std::string &Out, const std::string &S) {
+  Out.append(S.c_str());
 }
 
-std::string syncKindName(SyncKind K) {
+/// Pads the text appended since \p Start with spaces to \p Width
+/// columns, as printf's "%-<Width>" does.
+void padFrom(std::string &Out, size_t Start, size_t Width) {
+  size_t Len = Out.size() - Start;
+  if (Len < Width)
+    Out.append(Width - Len, ' ');
+}
+
+/// Appends \p V in base \p Base, zero-padded to \p MinDigits ("%llu",
+/// "%llx", "%08llx").
+void appendUInt(std::string &Out, uint64_t V, int Base = 10,
+                size_t MinDigits = 0) {
+  char Buf[24];
+  char *End = std::to_chars(Buf, Buf + sizeof(Buf), V, Base).ptr;
+  size_t Len = static_cast<size_t>(End - Buf);
+  if (Len < MinDigits)
+    Out.append(MinDigits - Len, '0');
+  Out.append(Buf, Len);
+}
+
+/// "signal N" for a signal code (0x8000 | N), else the fault's name.
+void appendFault(std::string &Out, uint16_t Code) {
+  if (Code & 0x8000) {
+    Out += "signal ";
+    appendUInt(Out, Code & 0xFFF);
+    return;
+  }
+  Out += faultCodeName(static_cast<FaultCode>(Code));
+}
+
+const char *syncKindName(SyncKind K) {
   switch (K) {
   case SyncKind::CallSend:
     return "call ->";
@@ -33,35 +79,80 @@ std::string syncKindName(SyncKind K) {
   return "?";
 }
 
-std::string eventOneLiner(const TraceEvent &E) {
+/// The append kernel: one event's one-line description, no newline.
+void appendEventLine(std::string &Out, const TraceEvent &E) {
   switch (E.EventKind) {
   case TraceEvent::Kind::Line: {
-    std::string S = formatv("%-14s %s:%u  %s", E.Module.c_str(),
-                            E.File.c_str(), E.Line, E.Function.c_str());
-    if (E.Repeat > 1)
-      S += formatv("  (x%u)", E.Repeat);
+    // "%-14s %s:%u  %s", then "  (x%u)" and "  <- partial".
+    size_t Start = Out.size();
+    appendStr(Out, E.Module);
+    padFrom(Out, Start, 14);
+    Out += ' ';
+    appendStr(Out, E.File);
+    Out += ':';
+    appendUInt(Out, E.Line);
+    Out += "  ";
+    appendStr(Out, E.Function);
+    if (E.Repeat > 1) {
+      Out += "  (x";
+      appendUInt(Out, E.Repeat);
+      Out += ')';
+    }
     if (E.Trimmed)
-      S += "  <- partial";
-    return S;
+      Out += "  <- partial";
+    return;
   }
   case TraceEvent::Kind::Exception:
-    return formatv("*** exception: %s", describeFault(E.FaultCodeValue).c_str());
+    Out += "*** exception: ";
+    appendFault(Out, E.FaultCodeValue);
+    return;
   case TraceEvent::Kind::ExceptionEnd:
-    return formatv("*** resumed after %s",
-                   describeFault(E.FaultCodeValue).c_str());
+    Out += "*** resumed after ";
+    appendFault(Out, E.FaultCodeValue);
+    return;
   case TraceEvent::Kind::Sync:
-    return formatv("[sync %s logical=%llx seq=%llu]",
-                   syncKindName(E.Sync).c_str(),
-                   static_cast<unsigned long long>(E.LogicalThreadId),
-                   static_cast<unsigned long long>(E.Sequence));
+    // "[sync %s logical=%llx seq=%llu]".
+    Out += "[sync ";
+    Out += syncKindName(E.Sync);
+    Out += " logical=";
+    appendUInt(Out, E.LogicalThreadId, 16);
+    Out += " seq=";
+    appendUInt(Out, E.Sequence);
+    Out += ']';
+    return;
   case TraceEvent::Kind::ThreadStart:
-    return "[thread start]";
+    Out += "[thread start]";
+    return;
   case TraceEvent::Kind::ThreadEnd:
-    return "[thread end]";
+    Out += "[thread end]";
+    return;
   case TraceEvent::Kind::Untraced:
-    return formatv("[untraced: %s]", E.Module.c_str());
+    Out += "[untraced: ";
+    appendStr(Out, E.Module);
+    Out += ']';
+    return;
   }
-  return "?";
+  Out += '?';
+}
+
+/// The call-tree view: a header, then per event "  " + 2*Depth spaces +
+/// marker + the one-liner. Function entries are marked "+ ", else
+/// returns "^ ".
+void appendCallTree(std::string &Out, const ThreadTrace &Trace) {
+  Out += formatv("thread %llu call tree\n",
+                 static_cast<unsigned long long>(Trace.ThreadId));
+  Out.reserve(Out.size() + Trace.Events.size() * BytesPerEventLine + 64);
+  for (const TraceEvent &E : Trace.Events) {
+    Out.append(2 + static_cast<size_t>(E.Depth) * 2, ' ');
+    if (E.EventKind == TraceEvent::Kind::Line) {
+      if (E.BlockFlags & MBF_FuncEntry)
+        Out += "+ ";
+      else if (E.BlockFlags & MBF_EndsInRet)
+        Out += "^ ";
+    }
+    appendEventLine(Out, E);
+    Out += '\n';
+  }
 }
 } // namespace
 
@@ -72,8 +163,12 @@ std::string traceback::renderFlatTrace(const ThreadTrace &Trace) {
                             Trace.ProcessName.c_str(),
                             Trace.Truncated ? " (older history overwritten)"
                                             : "");
-  for (const TraceEvent &E : Trace.Events)
-    Out += "  " + eventOneLiner(E) + "\n";
+  Out.reserve(Out.size() + Trace.Events.size() * BytesPerEventLine + 64);
+  for (const TraceEvent &E : Trace.Events) {
+    Out += "  ";
+    appendEventLine(Out, E);
+    Out += '\n';
+  }
   if (Trace.TruncatedAt != UINT64_MAX)
     Out += formatv("  <torn write: newer history lost at word %llu>\n",
                    static_cast<unsigned long long>(Trace.TruncatedAt));
@@ -81,37 +176,31 @@ std::string traceback::renderFlatTrace(const ThreadTrace &Trace) {
 }
 
 std::string traceback::renderCallTree(const ThreadTrace &Trace) {
-  std::string Out = formatv("thread %llu call tree\n",
-                            static_cast<unsigned long long>(Trace.ThreadId));
-  for (const TraceEvent &E : Trace.Events) {
-    std::string Indent(static_cast<size_t>(E.Depth) * 2, ' ');
-    std::string Marker;
-    if (E.EventKind == TraceEvent::Kind::Line) {
-      if (E.BlockFlags & MBF_FuncEntry)
-        Marker = "+ ";
-      else if (E.BlockFlags & MBF_EndsInRet)
-        Marker = "^ ";
-    }
-    Out += "  " + Indent + Marker + eventOneLiner(E) + "\n";
-  }
+  std::string Out;
+  appendCallTree(Out, Trace);
   return Out;
 }
 
 std::string traceback::renderMultiThread(
     const std::vector<const ThreadTrace *> &Traces) {
-  std::string Out;
   // Reuse the stitcher's skew-corrected timeline merge.
-  ReconstructedTrace Holder;
-  for (const ThreadTrace *T : Traces)
-    Holder.Threads.push_back(*T); // Copy so the stitcher has stable refs.
   DistributedStitcher S;
-  S.addTrace(Holder);
-  auto Timeline = S.mergeTimeline();
-  for (const auto &Entry : Timeline) {
-    const TraceEvent &E = Entry.Trace->Events[Entry.EventIndex];
-    Out += formatv("t%-3llu |%*s%s\n",
-                   static_cast<unsigned long long>(Entry.Trace->ThreadId), 0,
-                   "", eventOneLiner(E).c_str());
+  size_t Events = 0;
+  for (const ThreadTrace *T : Traces) {
+    S.addThread(*T);
+    Events += T->Events.size();
+  }
+  std::string Out;
+  Out.reserve(Events * BytesPerEventLine);
+  for (const auto &Entry : S.mergeTimeline()) {
+    // "t%-3llu |" then the one-liner.
+    Out += 't';
+    size_t Start = Out.size();
+    appendUInt(Out, Entry.Trace->ThreadId);
+    padFrom(Out, Start, 3);
+    Out += " |";
+    appendEventLine(Out, Entry.Trace->Events[Entry.EventIndex]);
+    Out += '\n';
   }
   return Out;
 }
@@ -125,9 +214,14 @@ std::string traceback::renderLogicalThread(const LogicalThread &LT) {
                    Seg.Trace->MachineName.c_str(),
                    Seg.Trace->ProcessName.c_str(),
                    static_cast<unsigned long long>(Seg.Trace->ThreadId));
-    for (size_t I = Seg.Begin; I < Seg.End && I < Seg.Trace->Events.size();
-         ++I)
-      Out += "  " + eventOneLiner(Seg.Trace->Events[I]) + "\n";
+    size_t End = std::min(Seg.End, Seg.Trace->Events.size());
+    if (Seg.Begin < End)
+      Out.reserve(Out.size() + (End - Seg.Begin) * BytesPerEventLine);
+    for (size_t I = Seg.Begin; I < End; ++I) {
+      Out += "  ";
+      appendEventLine(Out, Seg.Trace->Events[I]);
+      Out += '\n';
+    }
   }
   return Out;
 }
@@ -142,15 +236,21 @@ std::string traceback::renderFaultView(const SnapFile &Snap,
   if (Snap.Reason == SnapReason::Hang || Snap.Reason == SnapReason::External) {
     // Deadlock-style snap: one line per thread, the most recent source
     // line each thread executed (section 4.3.3).
+    Out.reserve(Out.size() +
+                Trace.Threads.size() * (BytesPerEventLine + 32));
     for (const ThreadTrace &T : Trace.Threads) {
       const TraceEvent *LastLine = nullptr;
       for (const TraceEvent &E : T.Events)
         if (E.EventKind == TraceEvent::Kind::Line)
           LastLine = &E;
-      Out += formatv("  thread %llu: %s\n",
-                     static_cast<unsigned long long>(T.ThreadId),
-                     LastLine ? eventOneLiner(*LastLine).c_str()
-                              : "<no trace>");
+      Out += "  thread ";
+      appendUInt(Out, T.ThreadId);
+      Out += ": ";
+      if (LastLine)
+        appendEventLine(Out, *LastLine);
+      else
+        Out += "<no trace>";
+      Out += '\n';
     }
     return Out;
   }
@@ -162,26 +262,38 @@ std::string traceback::renderFaultView(const SnapFile &Snap,
     Faulting = &Trace.Threads.front();
   if (!Faulting)
     return Out + "  <no thread traces recovered>\n";
-  std::string Tree = renderCallTree(*Faulting);
-  Out += Tree;
-  Out += formatv("=> fault: %s\n",
-                 describeFault(Snap.FaultCodeValue).c_str());
+  appendCallTree(Out, *Faulting);
+  Out += "=> fault: ";
+  appendFault(Out, Snap.FaultCodeValue);
+  Out += '\n';
   return Out;
 }
 
 std::string traceback::renderMemoryDump(const SnapFile &Snap) {
-  std::string Out;
   if (Snap.Memory.empty())
     return "<no memory captured; enable capture_memory in the policy>\n";
+  static constexpr char Hex[] = "0123456789abcdef";
+  size_t Reserve = 0;
+  for (const SnapMemoryRegion &R : Snap.Memory)
+    Reserve += R.Label.size() + 64 + (R.Bytes.size() + 15) / 16 * 12 +
+               R.Bytes.size() * 3;
+  std::string Out;
+  Out.reserve(Reserve);
   for (const SnapMemoryRegion &R : Snap.Memory) {
     Out += formatv("region %s @ 0x%llx (%zu bytes)\n", R.Label.c_str(),
                    static_cast<unsigned long long>(R.Base), R.Bytes.size());
     for (size_t I = 0; I < R.Bytes.size(); I += 16) {
-      Out += formatv("  %08llx:",
-                     static_cast<unsigned long long>(R.Base + I));
-      for (size_t J = I; J < I + 16 && J < R.Bytes.size(); ++J)
-        Out += formatv(" %02x", R.Bytes[J]);
-      Out += "\n";
+      // "  %08llx:" then " %02x" per byte.
+      Out += "  ";
+      appendUInt(Out, R.Base + I, 16, 8);
+      Out += ':';
+      for (size_t J = I; J < I + 16 && J < R.Bytes.size(); ++J) {
+        uint8_t B = R.Bytes[J];
+        Out += ' ';
+        Out += Hex[B >> 4];
+        Out += Hex[B & 0xF];
+      }
+      Out += '\n';
     }
   }
   return Out;

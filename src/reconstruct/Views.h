@@ -32,7 +32,7 @@ std::string renderFlatTrace(const ThreadTrace &Trace);
 std::string renderCallTree(const ThreadTrace &Trace);
 
 /// Interleaved multi-thread view ordered by skew-corrected timestamps;
-/// one column per thread.
+/// each line is prefixed with its physical thread's id ("t7  |").
 std::string renderMultiThread(const std::vector<const ThreadTrace *> &Traces);
 
 /// Renders one fused logical thread across machines/runtimes (the

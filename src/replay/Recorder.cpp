@@ -8,6 +8,7 @@
 
 #include "core/Session.h"
 #include "instrument/Instrumenter.h"
+#include "support/Hash.h"
 #include "vm/FaultInjector.h"
 
 #include <algorithm>
@@ -21,17 +22,11 @@ void ExecutionRecorder::attach(Deployment &Dep) {
 
 uint64_t
 ExecutionRecorder::candidateHash(const std::vector<SliceCandidate> &Cands) {
-  uint64_t H = 0xcbf29ce484222325ULL;
-  auto Mix = [&H](uint64_t V) {
-    for (int I = 0; I < 8; ++I) {
-      H ^= static_cast<uint8_t>(V >> (I * 8));
-      H *= 0x100000001b3ULL;
-    }
-  };
+  uint64_t H = Fnv64Basis;
   for (const SliceCandidate &C : Cands) {
-    Mix(C.MachineId);
-    Mix(C.Pid);
-    Mix(C.Tid);
+    H = fnv1a64Word(C.MachineId, H);
+    H = fnv1a64Word(C.Pid, H);
+    H = fnv1a64Word(C.Tid, H);
   }
   return H;
 }

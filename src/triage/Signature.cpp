@@ -6,6 +6,7 @@
 
 #include "triage/Signature.h"
 
+#include "support/Hash.h"
 #include "support/Text.h"
 #include "vm/Fault.h"
 
@@ -173,12 +174,7 @@ std::string FaultSignature::canonicalText() const {
 }
 
 uint64_t traceback::signatureHash(const std::string &Text) {
-  uint64_t H = 1469598103934665603ull;
-  for (char C : Text) {
-    H ^= static_cast<uint8_t>(C);
-    H *= 1099511628211ull;
-  }
-  return H;
+  return fnv1a64(Text.data(), Text.size(), Fnv64ShortBasis);
 }
 
 uint64_t FaultSignature::fingerprint() const {
